@@ -2,9 +2,9 @@
 
 Hot paths dispatch on dimension: 2x2 matrices use the closed form
 (mean of the diagonal +/- half the discriminant), everything else goes
-through LAPACK via numpy. The self-contained cyclic Jacobi solver that
-backs the public ``herm_eig_max`` lives here as well so the public
-module stays free of iteration bookkeeping.
+through LAPACK via numpy. The public spectral norm is
+``spectral_norm_fast``; a LAPACK-free Jacobi reference lives in
+``oracle``.
 
 All functions assume the input is already Hermitian; callers validate.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "extremes_batch",
     "max_batch",
     "eigh_single",
-    "jacobi_eigh",
     "spectral_norm_fast",
 ]
 
@@ -89,7 +88,7 @@ def eigh_single(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm_fast(T: np.ndarray) -> float:
-    """Largest singular value; internal shortcut around the public path."""
+    """Largest singular value, via the top eigenvalue of T*T."""
     n = T.shape[0]
     G = T.conj().T @ T
     if n == 2:
@@ -97,68 +96,3 @@ def spectral_norm_fast(T: np.ndarray) -> float:
     else:
         lam = float(np.linalg.eigvalsh(G)[-1])
     return math.sqrt(max(lam, 0.0))
-
-
-def jacobi_eigh(H: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Sweeps row by row, annihilating each off-diagonal pair with a unitary
-    2x2 rotation, until the off-diagonal Frobenius mass falls below
-    1e-14 times the Frobenius norm of the input. For each pivot (p, q)
-    the off-diagonal phase is absorbed first, which reduces the update to
-    the classical real rotation.
-
-    Returns (eigenvalues ascending, eigenvector columns in that order).
-    """
-    A = np.array(H, dtype=np.complex128, order="C")
-    n = A.shape[0]
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return A.real.reshape(1).copy(), V
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-    target = 1e-14 * fro
-    # rotation is skipped when the pivot cannot move the off mass
-    skip = 1e-18 * fro
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                aa = abs(apq)
-                off2 += 2.0 * aa * aa
-                if aa <= skip:
-                    continue
-                ph = apq / aa
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * aa)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sph = (t * c) * ph
-                # A <- R* A R with R embedding [[c, sph], [-conj(sph), c]]
-                colp = A[:, p].copy()
-                colq = A[:, q]
-                A[:, p] = c * colp - np.conj(sph) * colq
-                A[:, q] = sph * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :]
-                A[p, :] = c * rowp - sph * rowq
-                A[q, :] = np.conj(sph) * rowp + c * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q]
-                V[:, p] = c * vp - np.conj(sph) * vq
-                V[:, q] = sph * vp + c * vq
-        if math.sqrt(off2) <= target:
-            break
-    w = A.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]

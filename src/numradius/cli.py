@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import linalg, numrange, oracle, wderiv
+from . import oracle
 from .linalg import MatrixError, as_matrix, spectral_norm
 from .numrange import boundary_points, crawford_number, numerical_radius
 from .wderiv import (
@@ -563,7 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="override the tolerance")
     common.add_argument("--grid", type=int, default=None, help="grid size for scans")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
     common.add_argument("--format", default=None, help="output format (text|json; range: csv|json)")
     one = argparse.ArgumentParser(add_help=False)
     one.add_argument("matrix", nargs="?", help="matrix literal, e.g. [1,2i;0,-1]")

@@ -1,5 +1,6 @@
 """Dense complex matrix substrate: adjoints, rotated Hermitian parts,
-a self-contained Hermitian eigensolver, spectral norm, rank-one builder.
+the top Hermitian eigenpair and the spectral norm (both via LAPACK),
+rank-one builder.
 
 Conventions
 -----------
@@ -15,7 +16,6 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -114,9 +114,7 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
 def herm_eig_max(H) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a unit eigenvector of a Hermitian matrix.
 
-    Uses self-contained cyclic Jacobi sweeps (unitary 2x2 rotations),
-    converged when the off-diagonal Frobenius mass falls below
-    1e-14 times the Frobenius norm.
+    Uses LAPACK's Hermitian eigensolver (``np.linalg.eigh``).
 
     Raises
     ------
@@ -129,19 +127,13 @@ def herm_eig_max(H) -> tuple[float, np.ndarray]:
     dev = float(np.abs(H - np.conj(H.T)).max())
     if dev > 1e-12 * scale:
         raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    w, V = _eig.jacobi_eigh(H)
-    vec = np.ascontiguousarray(V[:, -1])
-    nrm = float(np.linalg.norm(vec))
-    if nrm > 0:
-        vec = vec / nrm
-    return float(w[-1]), _freeze(vec)
+    w, V = np.linalg.eigh(H)
+    return float(w[-1]), _freeze(np.ascontiguousarray(V[:, -1]))
 
 
 def spectral_norm(T) -> float:
     """Largest singular value, via the top eigenvalue of T*T."""
-    T = as_matrix(T)
-    lam, _ = herm_eig_max(np.conj(T.T) @ T)
-    return math.sqrt(max(lam, 0.0))
+    return _eig.spectral_norm_fast(as_matrix(T))
 
 
 def rank_one(x, y) -> np.ndarray:

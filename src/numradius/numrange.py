@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _eig
-from .linalg import as_matrix
+from .linalg import _freeze, as_matrix
 
 __all__ = [
     "GRID_DEFAULT",
@@ -184,12 +184,29 @@ def _lammin_fn(T: np.ndarray):
     return f
 
 
-def _sweep_extremes(T: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of H_theta(T) for every angle in thetas."""
-    ph = np.exp(1j * thetas)
-    E = ph[:, None, None] * T[None, :, :]
-    H = 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
-    return _eig.extremes_batch(H)
+def _solved_stack(T: np.ndarray, grid: int) -> np.ndarray:
+    """H_theta(T) at the angles 2 pi k / grid that a sweep has to solve.
+
+    H_{theta+pi} = -H_theta, so an even grid solves only its first half
+    and reads the second half off it; an odd grid has no antipodal pairs
+    and solves every angle.
+    """
+    m = grid // 2 if grid % 2 == 0 else grid
+    E = np.exp(1j * (np.arange(m) * (_TWO_PI / grid)))[:, None, None] * T[None, :, :]
+    return 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
+
+
+def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of H_theta(T) at theta_k = 2 pi k / grid.
+
+    On an even grid, angle k + grid/2 takes lambda_min = -lambda_max and
+    lambda_max = -lambda_min of angle k.
+    """
+    H = _solved_stack(T, grid)
+    lo, hi = _eig.extremes_batch(H)
+    if H.shape[0] == grid:
+        return lo, hi
+    return np.concatenate((lo, -hi)), np.concatenate((hi, -lo))
 
 
 def _golden_max(f, a: float, b: float, width: float, seed_best: tuple[float, float]):
@@ -280,11 +297,11 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         p.theta_star = 0.0
         e1 = np.zeros(n, dtype=np.complex128)
         e1[0] = 1.0
-        p.maximizer = e1
+        p.maximizer = _freeze(e1)
         p.width = 0.0
         p.peaks = [(0.0, 0.0)]
     else:
-        p.lo, p.hi = _sweep_extremes(T, p.thetas)
+        p.lo, p.hi = _sweep_extremes(T, p.grid)
         p.lip = _eig.spectral_norm_fast(T)
         h = _TWO_PI / p.grid
         omega_grid = float(p.hi.max())
@@ -316,7 +333,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         E = cmath.exp(1j * p.theta_star) * T
         H = 0.5 * (E + np.conj(E.T))
         w, V = _eig.eigh_single(H)
-        p.maximizer = np.ascontiguousarray(V[:, -1])
+        p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
     _PROFILE_CACHE[key] = p
     if len(_PROFILE_CACHE) > _PROFILE_CACHE_CAP:
@@ -397,21 +414,19 @@ def boundary_points(T, count: int) -> list[complex]:
     """Support points of W(T) at `count` equispaced support angles.
 
     Each point is <T x_theta, x_theta> for a top eigenvector x_theta of
-    H_theta; every returned p has |p| <= omega(T).
+    H_theta; every returned p has |p| <= omega(T). For an even count,
+    the top eigenvector at theta + pi is the bottom one at theta.
     """
     count = int(count)
     if count < 3:
         raise ValueError("count must be at least 3")
     T = as_matrix(T)
-    out: list[complex] = []
-    for j in range(count):
-        theta = _TWO_PI * j / count
-        E = cmath.exp(1j * theta) * T
-        H = 0.5 * (E + np.conj(E.T))
-        _, V = _eig.eigh_single(H)
-        x = V[:, -1]
-        out.append(complex(np.vdot(x, T @ x)))
-    return out
+    H = _solved_stack(T, count)
+    _, V = np.linalg.eigh(H)
+    X = V[:, :, -1]
+    if H.shape[0] < count:
+        X = np.concatenate((X, V[:, :, 0]))
+    return [complex(z) for z in np.einsum("ki,ij,kj->k", X.conj(), T, X)]
 
 
 def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
@@ -450,7 +465,7 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
         E = cmath.exp(1j * th) * T
         H = 0.5 * (E + np.conj(E.T))
         _, V = _eig.eigh_single(H)
-        pairs.append((th % _TWO_PI, np.ascontiguousarray(V[:, -1])))
+        pairs.append((th % _TWO_PI, _freeze(np.ascontiguousarray(V[:, -1]))))
     return MaximizerSet(pairs=tuple(pairs), omega=p.omega)
 
 
@@ -467,8 +482,7 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     T = as_matrix(T)
     if not T.any():
         return (0.0, 0.0)
-    thetas = np.arange(grid) * (_TWO_PI / grid)
-    _, hi = _sweep_extremes(T, thetas)
+    _, hi = _sweep_extremes(T, grid)
     lower = float(hi.max())
     upper = lower + _eig.spectral_norm_fast(T) * math.pi / grid
     return (lower, upper)

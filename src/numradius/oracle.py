@@ -4,9 +4,10 @@ Nothing in this module reuses the grid-plus-refinement machinery of
 ``numrange``: the 2x2 reference comes from the elliptical range theorem,
 the sampling bound from Monte Carlo over unit vectors, and the
 orthogonality scan from a plain polar grid over the perturbation
-parameter with a fixed-resolution support sweep. These are the oracles
-that the fast paths are validated against, so they deliberately stay
-simple and slow.
+parameter with a fixed-resolution support sweep, and the Hermitian
+eigensolver is a pure-Python cyclic Jacobi iteration that calls no
+LAPACK. These are the oracles that the fast paths are validated
+against, so they deliberately stay simple and slow.
 
 Randomness: every generator draws from numpy's PCG64 (the 64-bit
 permuted-congruential generator, fully specified and stable across
@@ -24,6 +25,7 @@ import numpy as np
 from .linalg import DimensionError, as_matrix
 
 __all__ = [
+    "jacobi_eigh",
     "sample_radius_lower",
     "ellipse_radius_2x2",
     "direct_lambda_scan",
@@ -34,6 +36,71 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def jacobi_eigh(H: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
+
+    Sweeps row by row, annihilating each off-diagonal pair with a unitary
+    2x2 rotation, until the off-diagonal Frobenius mass falls below
+    1e-14 times the Frobenius norm of the input. For each pivot (p, q)
+    the off-diagonal phase is absorbed first, which reduces the update to
+    the classical real rotation.
+
+    Returns (eigenvalues ascending, eigenvector columns in that order).
+    """
+    A = np.array(H, dtype=np.complex128, order="C")
+    n = A.shape[0]
+    V = np.eye(n, dtype=np.complex128)
+    if n == 1:
+        return A.real.reshape(1).copy(), V
+    fro = np.linalg.norm(A)
+    if fro == 0.0:
+        return np.zeros(n), V
+    target = 1e-14 * fro
+    # rotation is skipped when the pivot cannot move the off mass
+    skip = 1e-18 * fro
+    for _ in range(max_sweeps):
+        off2 = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                aa = abs(apq)
+                off2 += 2.0 * aa * aa
+                if aa <= skip:
+                    continue
+                ph = apq / aa
+                app = A[p, p].real
+                aqq = A[q, q].real
+                tau = (aqq - app) / (2.0 * aa)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                sph = (t * c) * ph
+                # A <- R* A R with R embedding [[c, sph], [-conj(sph), c]]
+                colp = A[:, p].copy()
+                colq = A[:, q]
+                A[:, p] = c * colp - np.conj(sph) * colq
+                A[:, q] = sph * colp + c * colq
+                rowp = A[p, :].copy()
+                rowq = A[q, :]
+                A[p, :] = c * rowp - sph * rowq
+                A[q, :] = np.conj(sph) * rowp + c * rowq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                A[p, p] = A[p, p].real
+                A[q, q] = A[q, q].real
+                vp = V[:, p].copy()
+                vq = V[:, q]
+                V[:, p] = c * vp - np.conj(sph) * vq
+                V[:, q] = sph * vp + c * vq
+        if math.sqrt(off2) <= target:
+            break
+    w = A.diagonal().real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
 
 
 def sample_radius_lower(T, samples: int, seed: int) -> float:

@@ -138,10 +138,17 @@ def _pair(T, S):
     return T, S
 
 
+def _validate_theta(theta: float) -> float:
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return theta
+
+
 def diff_quotient(T, S, theta: float, r: float) -> float:
     """Single forward quotient (omega^2(T + r e^{i theta} S) - omega^2(T)) / 2r."""
     T, S = _pair(T, S)
-    theta = float(theta)
+    theta = _validate_theta(theta)
     r = float(r)
     if not (r > 0.0) or not math.isfinite(r):
         raise ValueError("step r must be positive and finite")
@@ -194,8 +201,7 @@ def _quotient_limit(
     if wS == 0.0:
         return DerivativeResult(0.0, float(theta), ((r0, 0.0),), True)
     U = cmath.exp(1j * theta) * S
-    thetas = pT.thetas
-    g = thetas.size
+    g = pT.grid
     h = _TWO_PI / g
     scale = max(1.0, wT + r0 * wS)
 
@@ -209,7 +215,7 @@ def _quotient_limit(
         margin = 2.0 * r * wS + 0.5 * pT.lip * h + 1e-12 * scale
         mask = pT.hi >= wT - margin
         if int(mask.sum()) > g // 8:
-            hi = numrange._sweep_extremes(M, thetas)[1]
+            hi = numrange._sweep_extremes(M, g)[1]
             src, top = hi, float(hi.max())
             lbar = max(pT.lip + r * pS.lip, 1e-300)
             runs = _true_runs(hi >= top - lbar * h)
@@ -285,7 +291,7 @@ def omega_derivative(T, S, theta: float, tol: float = 1e-8) -> DerivativeResult:
     omega(T) * d/dr omega(T + r e^{i theta} S) whenever omega(T) > 0.
     """
     T, S = _pair(T, S)
-    theta = float(theta)
+    theta = _validate_theta(theta)
     tol = float(tol)
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -640,7 +646,6 @@ class _Gauge:
             self.gS = profS.omega
             self.lipT = self.profT.lip
             self.lipS = profS.lip
-            self.sweep_thetas = np.arange(256) * (_TWO_PI / 256.0)
         else:
             self.gT = _eig.spectral_norm_fast(T)
             self.gS = _eig.spectral_norm_fast(S)
@@ -654,7 +659,7 @@ class _Gauge:
         if self.kind == "sigma":
             return self._sigma_sq(theta, r)
         M = self.T + (r * cmath.exp(1j * theta)) * self.S
-        hi = numrange._sweep_extremes(M, self.sweep_thetas)[1]
+        hi = numrange._sweep_extremes(M, 256)[1]
         h = _TWO_PI / hi.size
         lbar = max(self.lipT + r * self.lipS, 1e-300)
         top = float(hi.max())

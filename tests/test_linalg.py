@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from numradius import linalg
-from numradius._eig import jacobi_eigh
+from numradius import linalg, oracle
+from numradius.oracle import jacobi_eigh
 from numradius.linalg import (
     DimensionError,
     MatrixError,
@@ -133,6 +133,13 @@ def test_jacobi_full_spectrum_matches_numpy():
         # columns are an orthonormal eigenbasis
         assert np.abs(np.conj(V.T) @ V - np.eye(n)).max() < 1e-10
         assert np.abs(H @ V - V @ np.diag(w)).max() < 1e-9
+
+
+def test_jacobi_spectral_norm_matches_public_at_max_dim():
+    A = oracle.generators(64).matrix(linalg.MAX_DIM)
+    w, _ = jacobi_eigh(np.conj(A.T) @ A)
+    nrm = spectral_norm(A)
+    assert abs(math.sqrt(w[-1]) - nrm) < 1e-12 * nrm
 
 
 def test_spectral_norm_matches_svd():

@@ -9,6 +9,7 @@ import pytest
 from numradius import linalg, oracle
 from numradius.numrange import (
     DegenerateMatrixError,
+    _sweep_extremes,
     boundary_points,
     crawford_number,
     maximizers,
@@ -53,6 +54,19 @@ def test_radius_result_fields_consistent():
     lo, hi = res.enclosure
     assert lo <= res.omega <= hi
     assert hi - lo < 1e-8
+
+
+def test_radius_result_maximizer_is_read_only():
+    T = np.array([[0, 1], [0, -1]], dtype=complex)
+    x = numerical_radius(T).maximizer
+    with pytest.raises(ValueError):
+        x[:] = 0.0
+    assert abs(np.linalg.norm(numerical_radius(T).maximizer) - 1.0) < 1e-12
+    with pytest.raises(ValueError):
+        numerical_radius(np.zeros((2, 2))).maximizer[0] = 0.0
+    for _, v in maximizers(T):
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
 
 def test_radius_zero_matrix():
@@ -228,6 +242,46 @@ def test_radius_enclosure_soundness():
     l1, h1 = radius_enclosure(T, 64)
     l2, h2 = radius_enclosure(T, 1024)
     assert (h2 - l2) <= (h1 - l1) + 1e-12
+
+
+def _per_angle_hermitian(T, grid):
+    return [linalg.hermitian_part(T, 2.0 * math.pi * k / grid) for k in range(grid)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("grid", [16, 17, 64, 9])
+def test_sweep_extremes_matches_per_angle_eigvalsh(n, grid):
+    T = linalg.as_matrix(oracle.generators(300 + n).matrix(n))
+    lo, hi = _sweep_extremes(T, grid)
+    ref = np.array([np.linalg.eigvalsh(H)[[0, -1]] for H in _per_angle_hermitian(T, grid)])
+    tol = 1e-13 * np.linalg.norm(T, 2)
+    assert lo.shape == hi.shape == (grid,)
+    assert np.abs(lo - ref[:, 0]).max() <= tol
+    assert np.abs(hi - ref[:, 1]).max() <= tol
+
+
+@pytest.mark.parametrize("count", [7, 8, 63, 64])
+def test_boundary_points_match_per_angle_eigh(count):
+    gen = oracle.generators(77)
+    for n in (2, 5):
+        T = gen.matrix(n)
+        pts = boundary_points(T, count)
+        assert len(pts) == count
+        for k, H in enumerate(_per_angle_hermitian(T, count)):
+            w, V = np.linalg.eigh(H)
+            x = V[:, -1]
+            ref = complex(np.vdot(x, T @ x))
+            assert abs(pts[k] - ref) <= 1e-10
+            # the support function: Re(e^{i theta} p) = lambda_max(H_theta)
+            assert abs((cmath.exp(2j * math.pi * k / count) * pts[k]).real - w[-1]) <= 1e-12
+
+
+def test_radius_enclosure_odd_grid():
+    T = oracle.generators(19).matrix(4)
+    lo, hi = radius_enclosure(T, 9)
+    top = max(np.linalg.eigvalsh(H)[-1] for H in _per_angle_hermitian(T, 9))
+    assert abs(lo - top) <= 1e-13 * np.linalg.norm(T, 2)
+    assert lo <= _omega(T) <= hi
 
 
 def test_boundary_point_on_ellipse_example():

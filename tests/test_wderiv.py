@@ -67,6 +67,22 @@ def test_diff_quotient_rejects_bad_r():
         diff_quotient(T24, S24, 0.0, -0.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_diff_quotient_rejects_non_finite_theta(theta, n):
+    gen = oracle.generators(40 + n)
+    with pytest.raises(ValueError):
+        diff_quotient(gen.matrix(n), gen.matrix(n), theta, 0.1)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_omega_derivative_rejects_non_finite_theta(theta, n):
+    gen = oracle.generators(40 + n)
+    with pytest.raises(ValueError):
+        omega_derivative(gen.matrix(n), gen.matrix(n), theta)
+
+
 # --- derivative anchors -------------------------------------------------------
 
 
