@@ -17,6 +17,8 @@ be shared freely across threads.
 from __future__ import annotations
 
 import numbers
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -54,6 +56,29 @@ class NonHermitianError(MatrixError):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+class _LRU:
+    """Bounded least-recently-used map, safe to share between threads."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            hit = self._data.get(key)
+            if hit is not None:
+                self._data.move_to_end(key)
+            return hit
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.cap:
+                self._data.popitem(last=False)
 
 
 def as_matrix(obj) -> np.ndarray:

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _eig
-from .linalg import _freeze, as_matrix
+from .linalg import _LRU, _freeze, as_matrix
 
 __all__ = [
     "GRID_DEFAULT",
@@ -271,8 +270,7 @@ def _cyclic_local_max_groups(vals: np.ndarray) -> list[tuple[int, int]]:
     return [(s, e) for s, e in groups]
 
 
-_PROFILE_CACHE: OrderedDict = OrderedDict()
-_PROFILE_CACHE_CAP = 1024
+_PROFILE_CACHE = _LRU(1024)
 
 
 def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Profile:
@@ -280,7 +278,6 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
     key = (T.tobytes(), T.shape[0], int(grid), float(tol))
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:
-        _PROFILE_CACHE.move_to_end(key)
         return hit
 
     p = _Profile()
@@ -335,9 +332,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         w, V = _eig.eigh_single(H)
         p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
-    _PROFILE_CACHE[key] = p
-    if len(_PROFILE_CACHE) > _PROFILE_CACHE_CAP:
-        _PROFILE_CACHE.popitem(last=False)
+    _PROFILE_CACHE.put(key, p)
     return p
 
 

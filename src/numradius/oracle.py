@@ -7,7 +7,9 @@ orthogonality scan from a plain polar grid over the perturbation
 parameter with a fixed-resolution support sweep, and the Hermitian
 eigensolver is a pure-Python cyclic Jacobi iteration that calls no
 LAPACK. These are the oracles that the fast paths are validated
-against, so they deliberately stay simple and slow.
+against, so they deliberately stay simple. The one economy is the
+scan's sweep: H_{phi+pi} = -H_phi, so it solves only the angles
+below pi and takes the rest from lambda_min, with code of its own.
 
 Randomness: every generator draws from numpy's PCG64 (the 64-bit
 permuted-congruential generator, fully specified and stable across
@@ -194,20 +196,32 @@ def ellipse_radius_2x2(T) -> float:
     return math.sqrt(max(fb, 0.0))
 
 
-def _grid_omega(M: np.ndarray, phis: np.ndarray) -> float:
-    """Support-sweep radius on a fixed angle grid, no refinement."""
-    ph = np.exp(1j * phis)
-    E = ph[:, None, None] * M[None, :, :]
-    H = 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
-    n = M.shape[0]
-    if n == 2:
-        d0 = H[:, 0, 0].real
-        d1 = H[:, 1, 1].real
-        b = H[:, 0, 1]
-        hi = 0.5 * (d0 + d1) + np.sqrt(0.25 * (d0 - d1) ** 2 + b.real**2 + b.imag**2)
+_SCAN_GRID = 1024
+# bytes of one batched H stack; bounds the scan's working set
+_STACK_BYTES = 1 << 19
+
+
+def _grid_omega(Ms: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Support-sweep radius of each matrix in a stack, no refinement.
+
+    ``phis`` is the first half of an even angle grid. H_{phi+pi} is
+    -H_phi, so lambda_max at phi + pi is -lambda_min at phi, and the
+    maximum over the whole grid is max(lambda_max, -lambda_min) over
+    the half: only the half is solved.
+    """
+    E = np.exp(1j * phis)[None, :, None, None] * Ms[:, None, :, :]
+    H = 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
+    if Ms.shape[-1] == 2:
+        d0 = H[..., 0, 0].real
+        d1 = H[..., 1, 1].real
+        b = H[..., 0, 1]
+        mid = 0.5 * (d0 + d1)
+        rad = np.sqrt(0.25 * (d0 - d1) ** 2 + b.real**2 + b.imag**2)
+        hi, lo = mid + rad, mid - rad
     else:
-        hi = np.linalg.eigvalsh(H)[:, -1]
-    return float(hi.max())
+        w = np.linalg.eigvalsh(H)
+        hi, lo = w[..., -1], w[..., 0]
+    return np.maximum(hi, -lo).max(axis=1)
 
 
 def direct_lambda_scan(
@@ -217,10 +231,13 @@ def direct_lambda_scan(
 
     Evaluates F(lambda) = omega^2(T + lambda S) - omega^2(T)
     + 2 eps |lambda| omega(T) omega(S) on r in (0, 2 omega(T)/omega(S)]
-    times grid_theta angles, with every radius taken from a plain
-    1024-angle support sweep. Returns (min margin, argmin lambda).
-    A negative margin witnesses a violation of the orthogonality
-    inequality at that lambda.
+    times grid_theta angles, with every radius the maximum of
+    lambda_max(H_phi) over a plain 1024-angle grid of phi. The sweep
+    solves only phi < pi and reads phi + pi off lambda_min, since
+    H_{phi+pi} = -H_phi; it shares no code with ``numrange``.
+    Returns (min margin, argmin lambda), the first minimum in order of
+    radius, then angle. A negative margin witnesses a violation of the
+    orthogonality inequality at that lambda.
     """
     grid_r = int(grid_r)
     grid_theta = int(grid_theta)
@@ -229,24 +246,24 @@ def direct_lambda_scan(
     T = as_matrix(T)
     S = as_matrix(S)
     eps = float(epsilon)
-    phis = np.arange(1024) * (_TWO_PI / 1024)
-    wT = _grid_omega(T, phis)
-    wS = _grid_omega(S, phis)
+    phis = np.arange(_SCAN_GRID // 2) * (_TWO_PI / _SCAN_GRID)
+    wT, wS = (float(w) for w in _grid_omega(np.stack((T, S)), phis))
     if wS == 0.0:
         return 0.0, 0j
     r_hi = 2.0 * wT / wS if wT > 0.0 else 1.0
-    best = math.inf
-    best_lam = 0j
-    for i in range(1, grid_r + 1):
-        r = r_hi * i / grid_r
-        for j in range(grid_theta):
-            lam = r * cmath.exp(1j * _TWO_PI * j / grid_theta)
-            w = _grid_omega(T + lam * S, phis)
-            margin = w * w - wT * wT + 2.0 * eps * r * wT * wS
-            if margin < best:
-                best = margin
-                best_lam = lam
-    return best, best_lam
+    rs = np.repeat([r_hi * i / grid_r for i in range(1, grid_r + 1)], grid_theta)
+    units = [cmath.exp(1j * _TWO_PI * j / grid_theta) for j in range(grid_theta)]
+    lams = rs * np.tile(units, grid_r)
+    per_call = max(1, _STACK_BYTES // (phis.size * T.nbytes))
+    w = np.concatenate(
+        [
+            _grid_omega(T[None] + chunk[:, None, None] * S[None], phis)
+            for chunk in np.split(lams, range(per_call, lams.size, per_call))
+        ]
+    )
+    margins = w * w - wT * wT + 2.0 * eps * rs * wT * wS
+    k = int(np.argmin(margins))
+    return float(margins[k]), complex(lams[k])
 
 
 class InstanceGenerator:

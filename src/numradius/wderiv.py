@@ -50,13 +50,12 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _eig, numrange
-from .linalg import DimensionError, as_matrix
+from .linalg import _LRU, DimensionError, as_matrix
 
 __all__ = [
     "DerivativeResult",
@@ -353,19 +352,21 @@ def _compression(T: np.ndarray, S: np.ndarray, phi: float, gap_tol: float):
     return V.conj().T @ S @ V
 
 
-def _hp_small(z: complex, C: np.ndarray) -> np.ndarray:
-    return 0.5 * (z * C + np.conj(z) * C.conj().T)
+def _hp_lammax(z: complex, C: np.ndarray) -> float:
+    """lambda_max of the Hermitian part of z C for a small compression C."""
+    if C.shape[0] == 1:
+        # Re(z c), rounded exactly as the general path rounds it
+        return float((z * C)[0, 0].real)
+    return _eig.lammax_single(0.5 * (z * C + np.conj(z) * C.conj().T))
 
 
-_MODEL_CACHE: OrderedDict = OrderedDict()
-_MODEL_CACHE_CAP = 512
+_MODEL_CACHE = _LRU(512)
 
 
 def _active_model(T: np.ndarray, S: np.ndarray) -> _ActiveModel:
     key = (T.tobytes(), S.tobytes(), T.shape[0])
     hit = _MODEL_CACHE.get(key)
     if hit is not None:
-        _MODEL_CACHE.move_to_end(key)
         return hit
     pT = numrange._profile(T)
     act_tol = 1e-9 * max(1.0, pT.lip)
@@ -398,9 +399,7 @@ def _active_model(T: np.ndarray, S: np.ndarray) -> _ActiveModel:
         model.runs = [
             (float(s * h - h), float(e * h + h)) for s, e in _true_runs(mask)
         ]
-    if len(_MODEL_CACHE) >= _MODEL_CACHE_CAP:
-        _MODEL_CACHE.popitem(last=False)
-    _MODEL_CACHE[key] = model
+    _MODEL_CACHE.put(key, model)
     return model
 
 
@@ -434,12 +433,12 @@ def _model_refined(
     best = -math.inf
     for phi, C in model.nodes:
         z = cmath.exp(1j * (theta + phi))
-        best = max(best, _eig.lammax_single(_hp_small(z, C)))
+        best = max(best, _hp_lammax(z, C))
     if model.runs:
 
         def slope(phi: float) -> float:
             C = _compression(T, S, phi, model.gap_tol)
-            return _eig.lammax_single(_hp_small(cmath.exp(1j * (theta + phi)), C))
+            return _hp_lammax(cmath.exp(1j * (theta + phi)), C)
 
         for a, b in model.runs:
             probes = np.linspace(a, b, 9)
@@ -454,8 +453,7 @@ def _model_refined(
     return model.omega * best
 
 
-_INF_CACHE: OrderedDict = OrderedDict()
-_INF_CACHE_CAP = 512
+_INF_CACHE = _LRU(512)
 
 
 def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
@@ -474,13 +472,12 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     key = (T.tobytes(), S.tobytes(), tol, T.shape[0])
     hit = _INF_CACHE.get(key)
     if hit is not None:
-        _INF_CACHE.move_to_end(key)
         return hit
     pT = numrange._profile(T)
     pS = numrange._profile(S)
     if pT.omega == 0.0 or pS.omega == 0.0:
         result = (0.0, 0.0)
-        _INF_CACHE[key] = result
+        _INF_CACHE.put(key, result)
         return result
     ld = pT.omega * pS.omega  # Lipschitz bound for D over theta
     guard = max(1e-5 * max(1.0, ld), 200.0 * tol)
@@ -550,9 +547,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
                 "difference quotients failed to stabilize at the minimizing angle"
             )
     result = (float(value), float(worst))
-    if len(_INF_CACHE) >= _INF_CACHE_CAP:
-        _INF_CACHE.popitem(last=False)
-    _INF_CACHE[key] = result
+    _INF_CACHE.put(key, result)
     return result
 
 
@@ -665,11 +660,13 @@ class _Gauge:
         top = float(hi.max())
         fn = numrange._lammax_fn(M)
         best = top
-        for s, e in _true_runs(hi >= top - lbar * h):
-            k = s + int(np.argmax(hi[np.arange(s, e + 1) % hi.size]))
-            _, fx = numrange._golden_max(
-                fn, (s - 1) * h, (e + 1) * h, 1e-7, (k * h, float(hi[k % hi.size]))
-            )
+        # refine every grid peak that can still hold the maximum; one
+        # search over a whole near-top run can settle on its lower peak
+        for s, e in numrange._cyclic_local_max_groups(hi):
+            gv = float(hi[s % hi.size])
+            if gv < top - lbar * h:
+                continue
+            _, fx = numrange._golden_max(fn, (s - 1) * h, (e + 1) * h, 1e-7, (s * h, gv))
             best = max(best, fx)
         best = max(best, 0.0)
         return best * best
@@ -685,7 +682,7 @@ class _Gauge:
         zs = r * np.exp(1j * thetas)
         if self.kind == "sigma":
             M = self.T[None, :, :] + zs[:, None, None] * self.S[None, :, :]
-            G = np.einsum("kji,kjl->kil", M.conj(), M)
+            G = np.matmul(np.conj(np.swapaxes(M, 1, 2)), M)
             return np.maximum(_eig.max_batch(G), 0.0)
         pT = self.profT
         grid = pT.thetas

@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from numradius import linalg, oracle
+from numradius import linalg, numrange, oracle
 from numradius.numrange import (
     DegenerateMatrixError,
     _sweep_extremes,
@@ -298,3 +301,41 @@ def test_support_point_matches_rotation():
     w0 = _omega(T)
     for phi in (0.4, 1.7):
         assert abs(_omega(cmath.exp(1j * phi) * T) - w0) < 1e-10
+
+
+def test_profile_cache_is_thread_safe(monkeypatch):
+    # more threads than cores, a 2-entry cache over 3 matrices and a 1 us
+    # switch interval: an unlocked lookup loses its key to another
+    # thread's eviction between the read and the move-to-end
+    monkeypatch.setattr(numrange._PROFILE_CACHE, "cap", 2)
+    gen = oracle.generators(5)
+    mats = [gen.matrix(2) for _ in range(3)]
+    expected = [_omega(M) for M in mats]
+    errors = []
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        end = time.monotonic() + 2.0
+        try:
+            while time.monotonic() < end:
+                k = int(rng.integers(len(mats)))
+                if _omega(mats[k]) != expected[k]:
+                    wrong.append(k)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert wrong == []
+    assert len(numrange._PROFILE_CACHE._data) <= 2

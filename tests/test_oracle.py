@@ -1,6 +1,9 @@
 """Brute-force references: generators, sampling bound, ellipse, direct scan."""
 
+import ast
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +164,61 @@ def test_scan_rejects_small_grids():
         direct_lambda_scan(T22, S22, 0.0, grid_r=8)
     with pytest.raises(ValueError):
         direct_lambda_scan(T22, S22, 0.0, grid_theta=15)
+
+
+def _scan_reference(T, S, epsilons, grid_r, grid_theta):
+    """Unhalved scan: each lambda solves all 1024 angles on its own."""
+    phis = np.arange(1024) * (2.0 * math.pi / 1024)
+
+    def omega(M):
+        E = np.exp(1j * phis)[:, None, None] * M[None, :, :]
+        H = 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
+        return float(np.linalg.eigvalsh(H)[:, -1].max())
+
+    wT, wS = omega(T), omega(S)
+    r_hi = 2.0 * wT / wS
+    points = []
+    for i in range(1, grid_r + 1):
+        r = r_hi * i / grid_r
+        for j in range(grid_theta):
+            lam = r * cmath.exp(2j * math.pi * j / grid_theta)
+            points.append((r, lam, omega(T + lam * S)))
+    out = []
+    for eps in epsilons:
+        best, best_lam = math.inf, 0j
+        for r, lam, w in points:
+            margin = w * w - wT * wT + 2.0 * eps * r * wT * wS
+            if margin < best:
+                best, best_lam = margin, lam
+        out.append((best, best_lam, wT))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("grid", [(16, 16), (17, 19)])
+def test_half_sweep_scan_matches_full_sweep_reference(n, grid):
+    gen = generators(700 + n)
+    T = gen.matrix(n)
+    S = gen.matrix(n)
+    ref = _scan_reference(T, S, (0.0, 0.5), *grid)
+    for eps, (ref_margin, ref_lam, wT) in zip((0.0, 0.5), ref):
+        margin, lam = direct_lambda_scan(T, S, eps, grid_r=grid[0], grid_theta=grid[1])
+        assert abs(margin - ref_margin) <= 1e-12 * max(1.0, wT * wT)
+        # the same grid point; lambda carries the last-digit rounding of
+        # omega(T) / omega(S), far below the grid spacing
+        assert abs(lam - ref_lam) <= 1e-12 * abs(ref_lam)
+
+
+def test_oracle_imports_nothing_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+    assert not imported & {"numrange", "_eig", "wderiv"}
 
 
 def test_scan_sign_matches_deciders_off_boundary():

@@ -16,7 +16,7 @@ from numradius.wderiv import (
     omega_derivative,
     semi_inner,
 )
-from numradius.wderiv import derivative_via_maximizers
+from numradius.wderiv import _Gauge, _hp_lammax, derivative_via_maximizers
 
 SQ2 = math.sqrt(2.0)
 SQ5 = math.sqrt(5.0)
@@ -390,3 +390,37 @@ def test_dominated_positive_summand_doubles_epsilon():
 
 def test_convergence_error_is_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_direct_decider_refines_every_peak_of_a_kept_run():
+    # the 9th pair of generators(109) (n = 4): at |lam| ~ 1.7e-5 one kept
+    # run of the 256-angle sweep of T + lam S holds two local maxima, and
+    # a single search over the run settled on the lower one, reporting a
+    # violation (margin -1.04e-5) where the margin is positive
+    gen = oracle.generators(109)
+    for i in range(9):
+        n = 2 + i % 3
+        T = gen.matrix(n)
+        S = gen.matrix(n)
+        gen.unitary(n)
+    # at the reported witness the accurate radius fell 5.1e-5 below a
+    # dense sweep's
+    th, r = 4.123340357836604, 1.685408079944119e-05
+    gauge = _Gauge(linalg.as_matrix(T), linalg.as_matrix(S), "omega")
+    M = T + r * np.exp(1j * th) * S
+    E = np.exp(2j * np.pi * np.arange(65536) / 65536)[:, None, None] * M[None]
+    dense = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))[:, -1].max()
+    assert dense**2 - 1e-9 <= gauge.acc_sq(th, r) <= dense**2 + 2e-8
+    rep = is_omega_orthogonal(T, S, 0.98, method="direct")
+    assert rep.orthogonal
+    assert rep.margin >= 0.0
+    assert is_omega_orthogonal(T, S, 0.98, method="derivative").orthogonal
+
+
+def test_one_by_one_compression_rounds_like_the_general_path():
+    rng = np.random.default_rng(46)
+    for _ in range(2000):
+        z = complex(np.exp(1j * rng.uniform(0.0, 7.0)))
+        C = np.array([[complex(*rng.standard_normal(2))]]) * 10.0 ** rng.uniform(-9, 4)
+        general = float(np.linalg.eigvalsh(0.5 * (z * C + np.conj(z) * C.conj().T))[-1])
+        assert _hp_lammax(z, C) == general
