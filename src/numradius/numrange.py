@@ -16,9 +16,13 @@ here once; every other module and all tests use it.
 
 The theta maximization runs a coarse grid first (lambda_max(H_theta) is
 Lipschitz in theta with constant ||T||, but may be multimodal), then
-golden-section refinement of every competitive grid bracket. Sweep
-results are memoized per matrix because downstream derivative and
-orthogonality code re-evaluates the same profiles heavily.
+golden-section refinement of every competitive grid bracket. For
+n >= 3 the brackets are refined in lockstep: each golden step makes one
+batched eigensolve over every bracket still open, possibly of several
+matrices, with per-bracket results bit for bit those of the scalar
+search. Sweep results are memoized per matrix because downstream
+derivative and orthogonality code re-evaluates the same profiles
+heavily.
 """
 
 from __future__ import annotations
@@ -173,39 +177,35 @@ def _lammax_fn(T: np.ndarray):
     return fn
 
 
-def _lammin_fn(T: np.ndarray):
-    """Scalar theta -> lambda_min(H_theta(T))."""
-    neg = _lammax_fn(-T)
-
-    def f(theta: float) -> float:
-        return -neg(theta)
-
-    return f
-
-
 def _solved_stack(T: np.ndarray, grid: int) -> np.ndarray:
     """H_theta(T) at the angles 2 pi k / grid that a sweep has to solve.
 
     H_{theta+pi} = -H_theta, so an even grid solves only its first half
     and reads the second half off it; an odd grid has no antipodal pairs
-    and solves every angle.
+    and solves every angle. T may be a (..., n, n) stack; the angle axis
+    goes right before the matrix axes.
     """
     m = grid // 2 if grid % 2 == 0 else grid
-    E = np.exp(1j * (np.arange(m) * (_TWO_PI / grid)))[:, None, None] * T[None, :, :]
-    return 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
+    z = np.exp(1j * (np.arange(m) * (_TWO_PI / grid)))
+    E = z[:, None, None] * T[..., None, :, :]
+    return 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
 
 
 def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(T) at theta_k = 2 pi k / grid.
 
     On an even grid, angle k + grid/2 takes lambda_min = -lambda_max and
-    lambda_max = -lambda_min of angle k.
+    lambda_max = -lambda_min of angle k. A (..., n, n) stack of matrices
+    gives (..., grid) curves from one batched eigensolve.
     """
     H = _solved_stack(T, grid)
-    lo, hi = _eig.extremes_batch(H)
-    if H.shape[0] == grid:
+    n = H.shape[-1]
+    lo, hi = _eig.extremes_batch(H.reshape(-1, n, n))
+    lo = lo.reshape(H.shape[:-2])
+    hi = hi.reshape(H.shape[:-2])
+    if H.shape[-3] == grid:
         return lo, hi
-    return np.concatenate((lo, -hi)), np.concatenate((hi, -lo))
+    return np.concatenate((lo, -hi), axis=-1), np.concatenate((hi, -lo), axis=-1)
 
 
 def _golden_max(f, a: float, b: float, width: float, seed_best: tuple[float, float]):
@@ -244,30 +244,129 @@ def _golden_max(f, a: float, b: float, width: float, seed_best: tuple[float, flo
     return xb, fb
 
 
-def _cyclic_local_max_groups(vals: np.ndarray) -> list[tuple[int, int]]:
-    """Index groups (start, end inclusive, cyclic) of local maxima.
+def _golden_lanes(fb, a, b, width: float, xb, fbest) -> tuple[np.ndarray, np.ndarray]:
+    """`_golden_max` run on many brackets ("lanes") at once.
 
-    A group is a maximal run of equal values that weakly dominates both
-    neighbors. Runs crossing the wrap point are merged.
+    Every lane takes exactly the steps of the scalar search: the same
+    seed, the same width test, the same c/d updates and the same
+    120-step cap, so its result is the scalar result whenever the
+    batched evaluator ``fb(lanes, x)`` (values of lanes ``lanes`` at
+    abscissae ``x``) returns what the scalar function would. A lane
+    leaves as soon as its bracket is narrower than ``width``; each step
+    makes one ``fb`` call over the lanes still open.
     """
-    g = vals.size
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_max = (vals >= left) & (vals >= right)
-    idx = np.flatnonzero(is_max)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    xb = np.array(xb, dtype=float)
+    fbest = np.array(fbest, dtype=float)
+    h = b - a
+    short = h <= width
+    mid = np.flatnonzero(short)
+    run = np.flatnonzero(~short)
+    xm = 0.5 * (a[mid] + b[mid])
+    a, b, h = a[run], b[run], h[run]
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    k, m = mid.size, run.size
+    f = fb(np.concatenate((mid, run, run)), np.concatenate((xm, c, d)))
+    fm, fc, fd = f[:k], f[k : k + m], f[k + m :]
+    up = fm > fbest[mid]
+    xb[mid[up]] = xm[up]
+    fbest[mid[up]] = fm[up]
+    xr, fr = xb[run], fbest[run]
+    for step in range(120):
+        up = fc > fr
+        xr, fr = np.where(up, c, xr), np.where(up, fc, fr)
+        up = fd > fr
+        xr, fr = np.where(up, d, xr), np.where(up, fd, fr)
+        # the scalar search evaluates one more point after its last step
+        # but never compares it
+        go = ~(h <= width) if step < 119 else np.zeros(run.size, dtype=bool)
+        xb[run[~go]] = xr[~go]
+        fbest[run[~go]] = fr[~go]
+        if not go.any():
+            break
+        run, a, b, c, d, fc, fd, xr, fr = (
+            v[go] for v in (run, a, b, c, d, fc, fd, xr, fr)
+        )
+        left = fc > fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        h = b - a
+        x = np.where(left, a + _INV_PHI2 * h, a + _INV_PHI * h)
+        fx = fb(run, x)
+        c, fc, d, fd = (
+            np.where(left, x, d),
+            np.where(left, fx, fd),
+            np.where(left, c, x),
+            np.where(left, fc, fx),
+        )
+    return xb, fbest
+
+
+def _refine_peaks(
+    Ms: np.ndarray, owner, a, b, width: float, seeds, negate: bool = False
+) -> list[tuple[float, float]]:
+    """Golden-refine bracket i of theta -> lambda_max(H_theta(Ms[owner[i]])).
+
+    Returns ``_golden_max``'s (x, f(x)) for every bracket, seeded with
+    ``seeds[i]``; ``negate`` maximizes -lambda_max instead. For n >= 3
+    all brackets, whatever their matrix, share one batched eigensolve per
+    golden step, which returns the scalar values bit for bit. The 2x2
+    closed form has no bit-exact batched twin (``np.hypot`` differs from
+    ``math.hypot``), and one bracket gains nothing from batching, so
+    those stay on the scalar search.
+    """
+    if Ms.shape[-1] <= 2 or len(owner) <= 1:
+        fns: dict[int, object] = {}
+        out = []
+        for k, lo, hi, seed in zip(owner, a, b, seeds):
+            f = fns.get(k)
+            if f is None:
+                g = _lammax_fn(Ms[k])
+                f = fns[k] = (lambda th, g=g: -g(th)) if negate else g
+            out.append(_golden_max(f, lo, hi, width, seed))
+        return out
+    sign = -1.0 if negate else 1.0
+    own = np.asarray(owner)
+
+    def fb(lanes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        E = np.exp(1j * x)[:, None, None] * Ms[own[lanes]]
+        return sign * _eig.max_batch(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
+
+    xs, fs = _golden_lanes(
+        fb, a, b, width, [x for x, _ in seeds], [v for _, v in seeds]
+    )
+    return list(zip(xs.tolist(), fs.tolist()))
+
+
+def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of True, as (start, end inclusive).
+
+    A run crossing the wrap point is merged into one with start < 0; an
+    all-True mask is the single run (0, size - 1).
+    """
+    g = mask.size
+    idx = np.flatnonzero(mask)
     if idx.size == 0:
         return []
-    groups: list[list[int]] = [[int(idx[0]), int(idx[0])]]
+    if idx.size == g:
+        return [(0, g - 1)]
+    runs: list[list[int]] = [[int(idx[0]), int(idx[0])]]
     for i in idx[1:]:
-        if i == groups[-1][1] + 1:
-            groups[-1][1] = int(i)
+        if i == runs[-1][1] + 1:
+            runs[-1][1] = int(i)
         else:
-            groups.append([int(i), int(i)])
-    # merge a run that wraps around 0
-    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][1] == g - 1:
-        groups[0][0] = groups[-1][0] - g
-        groups.pop()
-    return [(s, e) for s, e in groups]
+            runs.append([int(i), int(i)])
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == g - 1:
+        runs[0][0] = runs[-1][0] - g
+        runs.pop()
+    return [(s, e) for s, e in runs]
+
+
+def _cyclic_local_max_groups(vals: np.ndarray) -> list[tuple[int, int]]:
+    """Cyclic runs of grid values that weakly dominate both neighbours."""
+    return _true_runs((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
 
 
 _PROFILE_CACHE = _LRU(1024)
@@ -303,9 +402,9 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         h = _TWO_PI / p.grid
         omega_grid = float(p.hi.max())
         keep = omega_grid - 2.0 * p.lip * h
-        f = _lammax_fn(T)
         width_target = tol / max(p.lip, 1e-300)
         peaks: list[tuple[float, float]] = []
+        brackets: list[tuple[float, float, tuple[float, float]]] = []
         for s, e in _cyclic_local_max_groups(p.hi):
             gv = float(p.hi[s % p.grid])
             if gv < keep:
@@ -316,9 +415,11 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
                 # flat curve: the grid already resolves it
                 peaks.append((p.thetas[int(np.argmax(p.hi))], omega_grid))
                 continue
-            x0 = 0.5 * (s + e) * h
-            xb, fb = _golden_max(f, a, b, width_target, (x0, gv))
-            peaks.append((xb % _TWO_PI, fb))
+            brackets.append((a, b, (0.5 * (s + e) * h, gv)))
+        if brackets:
+            a, b, seeds = zip(*brackets)
+            refined = _refine_peaks(T[None], [0] * len(a), a, b, width_target, seeds)
+            peaks.extend((xb % _TWO_PI, fb) for xb, fb in refined)
         if not peaks:
             k = int(np.argmax(p.hi))
             peaks = [(float(p.thetas[k]), omega_grid)]
@@ -387,10 +488,8 @@ def crawford_number(T, tol: float = 1e-10) -> float:
         # the whole sweep stays clearly below zero: 0 is interior
         return 0.0
     h = _TWO_PI / p.grid
-    f = _lammin_fn(T)
-    width_target = tol / max(p.lip, 1e-300)
     keep = best_grid - 2.0 * p.lip * h
-    best = best_grid
+    brackets = []
     for s, e in _cyclic_local_max_groups(p.lo):
         gv = float(p.lo[s % p.grid])
         if gv < keep:
@@ -399,9 +498,16 @@ def crawford_number(T, tol: float = 1e-10) -> float:
         b = (e + 1) * h
         if b - a >= _TWO_PI:
             continue
-        x0 = 0.5 * (s + e) * h
-        _, fb = _golden_max(f, a, b, width_target, (x0, gv))
-        best = max(best, fb)
+        brackets.append((a, b, (0.5 * (s + e) * h, gv)))
+    best = best_grid
+    if brackets:
+        # lambda_min(H_theta(T)) = -lambda_max(H_theta(-T))
+        a, b, seeds = zip(*brackets)
+        width_target = tol / max(p.lip, 1e-300)
+        for _, fb in _refine_peaks(
+            (-T)[None], [0] * len(a), a, b, width_target, seeds, negate=True
+        ):
+            best = max(best, fb)
     return max(0.0, best)
 
 

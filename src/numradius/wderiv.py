@@ -156,26 +156,6 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     return (wr * wr - w0 * w0) / (2.0 * r)
 
 
-def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of True, as (start, end) with start possibly < 0."""
-    g = mask.size
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    if idx.size == g:
-        return [(0, g - 1)]
-    runs: list[list[int]] = [[int(idx[0]), int(idx[0])]]
-    for i in idx[1:]:
-        if i == runs[-1][1] + 1:
-            runs[-1][1] = int(i)
-        else:
-            runs.append([int(i), int(i)])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == g - 1:
-        runs[0][0] = runs[-1][0] - g
-        runs.pop()
-    return [(s, e) for s, e in runs]
-
-
 def _quotient_limit(
     T: np.ndarray, S: np.ndarray, theta: float, tol: float
 ) -> DerivativeResult:
@@ -217,10 +197,10 @@ def _quotient_limit(
             hi = numrange._sweep_extremes(M, g)[1]
             src, top = hi, float(hi.max())
             lbar = max(pT.lip + r * pS.lip, 1e-300)
-            runs = _true_runs(hi >= top - lbar * h)
+            runs = numrange._true_runs(hi >= top - lbar * h)
         else:
             src = pT.hi
-            runs = _true_runs(mask)
+            runs = numrange._true_runs(mask)
         best = -math.inf
         for s, e in runs:
             k = s + int(np.argmax(src[np.arange(s, e + 1) % g]))
@@ -397,7 +377,7 @@ def _active_model(T: np.ndarray, S: np.ndarray) -> _ActiveModel:
         model.plateau_psi = phis + np.angle(c)
         h = _TWO_PI / pT.thetas.size
         model.runs = [
-            (float(s * h - h), float(e * h + h)) for s, e in _true_runs(mask)
+            (float(s * h - h), float(e * h + h)) for s, e in numrange._true_runs(mask)
         ]
     _MODEL_CACHE.put(key, model)
     return model
@@ -653,31 +633,44 @@ class _Gauge:
         """Accurate g^2: full support sweep plus golden refinement."""
         if self.kind == "sigma":
             return self._sigma_sq(theta, r)
-        M = self.T + (r * cmath.exp(1j * theta)) * self.S
-        hi = numrange._sweep_extremes(M, 256)[1]
-        h = _TWO_PI / hi.size
+        return float(self._acc_sq_stack(np.array([theta]), r)[0])
+
+    def _acc_sq_stack(self, thetas: np.ndarray, r: float) -> np.ndarray:
+        """Radius-gauge acc_sq at every angle of ``thetas``, one radius r.
+
+        One batched 256-angle sweep covers all K matrices; each matrix's
+        near-top grid peaks are then refined together in one lockstep
+        golden search.
+        """
+        Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
+        his = numrange._sweep_extremes(Ms, 256)[1]
+        h = _TWO_PI / his.shape[-1]
         lbar = max(self.lipT + r * self.lipS, 1e-300)
-        top = float(hi.max())
-        fn = numrange._lammax_fn(M)
-        best = top
-        # refine every grid peak that can still hold the maximum; one
-        # search over a whole near-top run can settle on its lower peak
-        for s, e in numrange._cyclic_local_max_groups(hi):
-            gv = float(hi[s % hi.size])
-            if gv < top - lbar * h:
-                continue
-            _, fx = numrange._golden_max(fn, (s - 1) * h, (e + 1) * h, 1e-7, (s * h, gv))
-            best = max(best, fx)
-        best = max(best, 0.0)
-        return best * best
+        best = his.max(axis=1)
+        owner, a, b, seeds = [], [], [], []
+        for k, hi in enumerate(his):
+            cut = float(best[k]) - lbar * h
+            # refine every grid peak that can still hold the maximum; one
+            # search over a whole near-top run can settle on its lower peak
+            for s, e in numrange._cyclic_local_max_groups(hi):
+                gv = float(hi[s % hi.size])
+                if gv >= cut:
+                    owner.append(k)
+                    a.append((s - 1) * h)
+                    b.append((e + 1) * h)
+                    seeds.append((s * h, gv))
+        refined = numrange._refine_peaks(Ms, owner, a, b, 1e-7, seeds)
+        for k, (_, fx) in zip(owner, refined):
+            best[k] = max(best[k], fx)
+        return np.maximum(best, 0.0) ** 2
 
-    def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray | None:
-        """acc_micro for many direction angles at one micro radius.
+    def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
+        """acc_micro at every angle of ``thetas``, one micro radius r.
 
-        Returns None when the support window is too wide for the
-        windowed path (the caller then falls back to per-angle sweeps).
-        The window runs depend only on r, so all angles share brackets
-        and the golden refinements proceed in lockstep.
+        A support window too wide for the windowed path (a disk-like
+        range) takes the stacked acc_sq, as acc_micro does per angle.
+        Otherwise the window runs depend only on r, so all angles share
+        brackets and the golden refinements proceed in lockstep.
         """
         zs = r * np.exp(1j * thetas)
         if self.kind == "sigma":
@@ -690,8 +683,8 @@ class _Gauge:
         margin = 2.0 * r * self.gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, self.gT)
         mask = pT.hi >= pT.omega - margin
         if int(mask.sum()) > grid.size // 8:
-            return None
-        runs = _true_runs(mask)
+            return self._acc_sq_stack(thetas, r)
+        runs = numrange._true_runs(mask)
         M = self.T[None, :, :] + zs[:, None, None] * self.S[None, :, :]
         K = thetas.size
         R = len(runs)
@@ -716,7 +709,8 @@ class _Gauge:
         The support function moves by at most r g(S) pointwise, so the
         maximizing angle of the perturbed matrix stays inside the set
         where T's own support function is within 2 r g(S) of its peak.
-        Refining only those runs replaces the full sweep.
+        Refining only those runs replaces the full sweep; a window too
+        wide for that (a disk-like range) takes the full acc_sq.
         """
         if self.kind == "sigma":
             return self._sigma_sq(theta, r)
@@ -730,7 +724,7 @@ class _Gauge:
         M = self.T + (r * cmath.exp(1j * theta)) * self.S
         fn = numrange._lammax_fn(M)
         best = 0.0
-        for s, e in _true_runs(mask):
+        for s, e in numrange._true_runs(mask):
             k = s + int(np.argmax(pT.hi[np.arange(s, e + 1) % thetas.size]))
             x0 = k * h
             _, fx = numrange._golden_max(
@@ -841,17 +835,13 @@ def _scan_minimum(
     base = [float(t) for t in base_arr]
     g1 = gauge.micro_batch(base_arr, rbar)
     g2 = gauge.micro_batch(base_arr, 2.0 * rbar)
-    if g1 is not None and g2 is not None:
-        for th, w1, w2 in zip(base, g1, g2):
-            f1 = float(w1) - gT * gT + off * rbar
-            f2 = float(w2) - gT * gT + off * (2.0 * rbar)
-            note(f1, th, rbar)
-            note(f2, th, 2.0 * rbar)
-            s_plus = max((f2 - f1) / rbar, 0.0)
-            nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
-    else:
-        for th in base:
-            eval_node(th)
+    for th, w1, w2 in zip(base, g1, g2):
+        f1 = float(w1) - gT * gT + off * rbar
+        f2 = float(w2) - gT * gT + off * (2.0 * rbar)
+        note(f1, th, rbar)
+        note(f2, th, 2.0 * rbar)
+        s_plus = max((f2 - f1) / rbar, 0.0)
+        nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
     for th in sorted(base, key=lambda t: nodes[t][0]):
         if not candidate(th):
             break

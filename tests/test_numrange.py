@@ -14,6 +14,12 @@ from numradius.numrange import (
     DegenerateMatrixError,
     _sweep_extremes,
     boundary_points,
+    _cyclic_local_max_groups,
+    _golden_max,
+    _lammax_fn,
+    _profile,
+    _refine_peaks,
+    _true_runs,
     crawford_number,
     maximizers,
     numerical_radius,
@@ -339,3 +345,66 @@ def test_profile_cache_is_thread_safe(monkeypatch):
     assert errors == []
     assert wrong == []
     assert len(numrange._PROFILE_CACHE._data) <= 2
+
+
+# --- lockstep golden refinement ----------------------------------------------
+
+
+def _scalar_refine(Ms, owner, a, b, width, seeds):
+    return [
+        _golden_max(_lammax_fn(Ms[k]), lo, hi, width, seed)
+        for k, lo, hi, seed in zip(owner, a, b, seeds)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_lockstep_golden_matches_scalar_search_bitwise(n):
+    gen = oracle.generators(600 + n)
+    Ms = np.stack([linalg.as_matrix(gen.matrix(n)) for _ in range(3)])
+    rng = np.random.default_rng(n)
+    owner, a, b, seeds = [], [], [], []
+    # bracket widths from below the stopping width up to 0.3, one matrix
+    # per lane in turn; some seeds beat every golden point, others lose
+    for i, span in enumerate([1e-9, 5e-8, 1e-7, 3e-4, 0.006, 0.02, 0.1, 0.3] * 3):
+        lo = float(rng.uniform(0.0, 6.0))
+        x0 = lo + 0.5 * span
+        f0 = _lammax_fn(Ms[i % 3])(x0) + (1.0 if i % 4 == 0 else -1.0)
+        owner.append(i % 3)
+        a.append(lo)
+        b.append(lo + span)
+        seeds.append((x0, f0))
+    for width in (1e-7, 1e-10, 0.0):  # 0.0: every open lane hits the step cap
+        got = _refine_peaks(Ms, owner, a, b, width, seeds)
+        assert got == _scalar_refine(Ms, owner, a, b, width, seeds)
+        assert all(type(x) is float and type(v) is float for x, v in got)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_square_zero_profile_peaks_match_scalar_refinement(n):
+    # W(T) is a disk: the flat 1024-angle sweep has hundreds of local
+    # maxima, which the profile refines in lockstep for n >= 3
+    T = linalg.as_matrix(oracle.generators(515).nilpotent_rank_one(n))
+    p = _profile(T)
+    lo, hi = _sweep_extremes(T, 1024)
+    h = 2.0 * math.pi / 1024
+    keep = float(hi.max()) - 2.0 * p.lip * h
+    f = _lammax_fn(T)
+    ref = []
+    for s, e in _cyclic_local_max_groups(hi):
+        gv = float(hi[s % 1024])
+        if gv >= keep:
+            seed = (0.5 * (s + e) * h, gv)
+            x, v = _golden_max(f, (s - 1) * h, (e + 1) * h, 1e-10 / p.lip, seed)
+            ref.append((x % (2.0 * math.pi), v))
+    assert len(ref) > 100
+    assert p.peaks == sorted(ref)
+
+
+def test_run_finder_merges_the_wrap_and_finds_local_maxima():
+    mask = np.array([1, 1, 0, 1, 0, 0, 1, 1], dtype=bool)
+    assert _true_runs(mask) == [(-2, 1), (3, 3)]
+    assert _true_runs(np.ones(5, dtype=bool)) == [(0, 4)]
+    assert _true_runs(np.zeros(5, dtype=bool)) == []
+    vals = np.array([3.0, 1.0, 2.0, 2.0, 0.0, 3.0])
+    assert _cyclic_local_max_groups(vals) == [(-1, 0), (2, 3)]
+    assert _cyclic_local_max_groups(np.ones(4)) == [(0, 3)]

@@ -7,6 +7,7 @@ import pytest
 
 from numradius import linalg, numrange, oracle
 from numradius.wderiv import (
+    DECISION_TOL,
     ConvergenceError,
     diff_quotient,
     inf_derivative,
@@ -424,3 +425,21 @@ def test_one_by_one_compression_rounds_like_the_general_path():
         C = np.array([[complex(*rng.standard_normal(2))]]) * 10.0 ** rng.uniform(-9, 4)
         general = float(np.linalg.eigvalsh(0.5 * (z * C + np.conj(z) * C.conj().T))[-1])
         assert _hp_lammax(z, C) == general
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_wide_window_micro_batch_matches_per_angle_acc_sq(scale):
+    # a square-zero T has a disk for its range, so every support angle is
+    # near the top and micro_batch takes the stacked full sweep
+    gen = oracle.generators(77)
+    T = linalg.as_matrix(gen.nilpotent_rank_one(3))
+    S = linalg.as_matrix(gen.matrix(3))
+    gauge = _Gauge(T, S, "omega")
+    pT = gauge.profT
+    r = scale * math.sqrt(DECISION_TOL) / (4.0 * gauge.gS)  # the scan's rbar
+    margin = 2.0 * r * gauge.gS + 0.5 * pT.lip * (2.0 * math.pi / 1024) + 1e-12
+    assert int((pT.hi >= pT.omega - margin).sum()) > 1024 // 8
+    base = np.arange(64) * (2.0 * math.pi / 64)
+    got = gauge.micro_batch(base, r)
+    ref = [gauge.acc_sq(float(th), r) for th in base]
+    assert got.tolist() == ref
