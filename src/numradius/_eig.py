@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "lammax_single",
-    "extremes_single",
     "extremes_batch",
     "max_batch",
     "eigh_single",
@@ -38,23 +37,6 @@ def lammax_single(H: np.ndarray) -> float:
         rad = math.hypot(0.5 * (a - d), abs(b))
         return m + rad
     return float(np.linalg.eigvalsh(H)[-1])
-
-
-def extremes_single(H: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of one Hermitian matrix."""
-    n = H.shape[0]
-    if n == 1:
-        v = float(H[0, 0].real)
-        return v, v
-    if n == 2:
-        a = H[0, 0].real
-        d = H[1, 1].real
-        b = H[0, 1]
-        m = 0.5 * (a + d)
-        rad = math.hypot(0.5 * (a - d), abs(b))
-        return m - rad, m + rad
-    w = np.linalg.eigvalsh(H)
-    return float(w[0]), float(w[-1])
 
 
 def extremes_batch(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -262,7 +262,7 @@ def _matrix_arg(args, name: str, positional_ok: bool = False) -> np.ndarray:
 def _cmd_radius(args) -> int:
     _check_format(args)
     T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
-    res = numerical_radius(T, tol=args.tol if args.tol else 1e-10)
+    res = numerical_radius(T, tol=args.tol)
     vec = "[" + ";".join(_gc(z) for z in res.maximizer) + "]"
     _emit(
         args,
@@ -280,7 +280,7 @@ def _cmd_radius(args) -> int:
 def _cmd_crawford(args) -> int:
     _check_format(args)
     T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
-    c = crawford_number(T, tol=args.tol if args.tol else 1e-10)
+    c = crawford_number(T, tol=args.tol)
     _emit(args, [f"crawford: {_g(c)}"], {"crawford": _j(c)})
     return 0
 
@@ -304,7 +304,7 @@ def _cmd_deriv(args) -> int:
     _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
-    d = omega_derivative(T, S, args.theta, tol=args.tol if args.tol else 1e-8)
+    d = omega_derivative(T, S, args.theta, tol=args.tol)
     _emit(
         args,
         [
@@ -327,7 +327,7 @@ def _cmd_inf_deriv(args) -> int:
     _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
-    value, worst = inf_derivative(T, S, tol=args.tol if args.tol else 1e-8)
+    value, worst = inf_derivative(T, S, tol=args.tol)
     _emit(
         args,
         [f"inf-derivative: {_g(value)}", f"worst-theta: {_g(worst)}"],
@@ -391,11 +391,10 @@ def _cmd_oracle_scan(args) -> int:
     _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
-    grid = args.grid if args.grid else 64
-    if grid < 32:
+    if args.grid < 32:
         raise _UsageError("--grid must be at least 32 for oracle-scan")
     margin, lam = oracle.direct_lambda_scan(
-        T, S, args.eps, grid_r=max(16, grid // 2), grid_theta=grid
+        T, S, args.eps, grid_r=max(16, args.grid // 2), grid_theta=args.grid
     )
     _emit(
         args,
@@ -561,8 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical radius, numerical range, and radius-orthogonality tools.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="override the tolerance")
-    common.add_argument("--grid", type=int, default=None, help="grid size for scans")
     common.add_argument("--format", default=None, help="output format (text|json; range: csv|json)")
     one = argparse.ArgumentParser(add_help=False)
     one.add_argument("matrix", nargs="?", help="matrix literal, e.g. [1,2i;0,-1]")
@@ -575,13 +572,17 @@ def _build_parser() -> argparse.ArgumentParser:
     two.add_argument("--s-file", dest="s_file", help="right matrix JSON file")
 
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    sub.add_parser("radius", parents=[one, common], help="numerical radius, argmax angle, maximizer")
-    sub.add_parser("crawford", parents=[one, common], help="distance from 0 to the numerical range")
+    p = sub.add_parser("radius", parents=[one, common], help="numerical radius, argmax angle, maximizer")
+    p.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
+    p = sub.add_parser("crawford", parents=[one, common], help="distance from 0 to the numerical range")
+    p.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
     p = sub.add_parser("range", parents=[one, common], help="boundary points of the numerical range")
     p.add_argument("--samples", type=int, default=360, help="number of boundary points (>= 3)")
     p = sub.add_parser("deriv", parents=[two, common], help="one-sided derivative of omega^2 along a ray")
     p.add_argument("--theta", type=float, default=0.0, help="ray direction in radians")
-    sub.add_parser("inf-deriv", parents=[two, common], help="worst-direction derivative over theta")
+    p.add_argument("--tol", type=float, default=1e-8, help="quotient tolerance")
+    p = sub.add_parser("inf-deriv", parents=[two, common], help="worst-direction derivative over theta")
+    p.add_argument("--tol", type=float, default=1e-8, help="quotient tolerance")
     p = sub.add_parser("ortho", parents=[two, common], help="approximate radius-orthogonality verdict")
     p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
     p.add_argument(
@@ -596,6 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("paper-check", parents=[common], help="verify the built-in reference values")
     p = sub.add_parser("oracle-scan", parents=[two, common], help="brute-force margin scan over lambda")
     p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    p.add_argument("--grid", type=int, default=64, help="angle grid of the scan (>= 32)")
     return ap
 
 

@@ -131,9 +131,18 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     The angle may be any real number; it enters only through e^{i theta}.
     The construction is exactly Hermitian in floating point.
     """
-    T = as_matrix(T)
-    E = np.exp(1j * float(theta)) * T
-    return _freeze(0.5 * (E + np.conj(E.T)))
+    return _freeze(_hermitian_rot(as_matrix(T), np.exp(1j * float(theta))))
+
+
+def _hermitian_rot(M: np.ndarray, z) -> np.ndarray:
+    """(z M + (z M)*) / 2 for a matrix or a (..., n, n) stack M.
+
+    ``z`` is a scalar or an array broadcast against the stack axes of M
+    (one rotation per matrix). Every rotated Hermitian part in the
+    package is built here, so all modules round it alike.
+    """
+    E = np.asarray(z)[..., None, None] * M
+    return 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
 
 
 def herm_eig_max(H) -> tuple[float, np.ndarray]:

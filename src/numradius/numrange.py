@@ -12,7 +12,8 @@ lambda_max(H_theta) is the support function of W(T) in direction
 and the support point at angle theta is <T x_theta, x_theta> for a top
 eigenvector x_theta of H_theta (equivalently e^{-i theta} times the
 tangency point of the rotated range). That rotation convention is fixed
-here once; every other module and all tests use it.
+once, in ``linalg._hermitian_rot``; every other module except the
+independent ``oracle`` builds H_theta there.
 
 The theta maximization runs a coarse grid first (lambda_max(H_theta) is
 Lipschitz in theta with constant ||T||, but may be multimodal), then
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _eig
-from .linalg import _LRU, _freeze, as_matrix
+from .linalg import _LRU, _freeze, _hermitian_rot, as_matrix
 
 __all__ = [
     "GRID_DEFAULT",
@@ -170,9 +171,7 @@ def _lammax_fn(T: np.ndarray):
         return f2
 
     def fn(theta: float) -> float:
-        E = cmath.exp(1j * theta) * T
-        H = 0.5 * (E + np.conj(E.T))
-        return float(np.linalg.eigvalsh(H)[-1])
+        return float(np.linalg.eigvalsh(_hermitian_rot(T, cmath.exp(1j * theta)))[-1])
 
     return fn
 
@@ -186,9 +185,7 @@ def _solved_stack(T: np.ndarray, grid: int) -> np.ndarray:
     goes right before the matrix axes.
     """
     m = grid // 2 if grid % 2 == 0 else grid
-    z = np.exp(1j * (np.arange(m) * (_TWO_PI / grid)))
-    E = z[:, None, None] * T[..., None, :, :]
-    return 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
+    return _hermitian_rot(T[..., None, :, :], np.exp(1j * (np.arange(m) * (_TWO_PI / grid))))
 
 
 def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,6 +301,14 @@ def _golden_lanes(fb, a, b, width: float, xb, fbest) -> tuple[np.ndarray, np.nda
     return xb, fbest
 
 
+def _lammax_at(Ms: np.ndarray, owner, x) -> np.ndarray:
+    """lambda_max(H_{x[i]}(Ms[owner[i]])) for every i, rounded as the
+    golden searches of `_refine_peaks` round it."""
+    if Ms.shape[-1] <= 2:
+        return np.array([_lammax_fn(Ms[k])(t) for k, t in zip(owner, x)])
+    return _eig.max_batch(_hermitian_rot(Ms[np.asarray(owner)], np.exp(1j * np.asarray(x))))
+
+
 def _refine_peaks(
     Ms: np.ndarray, owner, a, b, width: float, seeds, negate: bool = False
 ) -> list[tuple[float, float]]:
@@ -331,8 +336,7 @@ def _refine_peaks(
     own = np.asarray(owner)
 
     def fb(lanes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        E = np.exp(1j * x)[:, None, None] * Ms[own[lanes]]
-        return sign * _eig.max_batch(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
+        return sign * _lammax_at(Ms, own[lanes], x)
 
     xs, fs = _golden_lanes(
         fb, a, b, width, [x for x, _ in seeds], [v for _, v in seeds]
@@ -428,9 +432,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         tie = 1e-12 * max(1.0, p.omega)
         p.theta_star = min(th for th, v in peaks if v >= p.omega - tie)
         p.width = min(width_target, h)
-        E = cmath.exp(1j * p.theta_star) * T
-        H = 0.5 * (E + np.conj(E.T))
-        w, V = _eig.eigh_single(H)
+        _, V = _eig.eigh_single(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
         p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
     _PROFILE_CACHE.put(key, p)
@@ -563,9 +565,7 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
         angles.pop()
     pairs = []
     for th in angles:
-        E = cmath.exp(1j * th) * T
-        H = 0.5 * (E + np.conj(E.T))
-        _, V = _eig.eigh_single(H)
+        _, V = _eig.eigh_single(_hermitian_rot(T, cmath.exp(1j * th)))
         pairs.append((th % _TWO_PI, _freeze(np.ascontiguousarray(V[:, -1]))))
     return MaximizerSet(pairs=tuple(pairs), omega=p.omega)
 

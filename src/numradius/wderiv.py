@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _eig, numrange
-from .linalg import _LRU, DimensionError, as_matrix
+from .linalg import _LRU, DimensionError, _hermitian_rot, as_matrix
 
 __all__ = [
     "DerivativeResult",
@@ -156,18 +156,66 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     return (wr * wr - w0 * w0) / (2.0 * r)
 
 
+def _radius_near(
+    pT, gS: float, lipS: float, Ms: np.ndarray, r: float, width: float
+) -> np.ndarray:
+    """omega(M) for every M of a stack Ms[k] = T + r e^{i theta_k} S.
+
+    ``pT`` is T's profile; ``gS`` and ``lipS`` are omega(S) and ||S||.
+    The support function of each M is within r omega(S) of T's, so its
+    peak lies where T's own support function is within 2 r omega(S) of
+    omega(T). When that window covers at most 1/8 of T's grid, each of
+    its runs is searched whole, seeded at T's grid argmax in the run.
+    A wider window (a disk-like range, or a large r) takes a 256-angle
+    sweep of every M instead and refines each near-top grid peak on its
+    own, since one search over a run holding two peaks can settle on the
+    lower one. All golden searches run to bracket ``width`` in one
+    `numrange._refine_peaks` call.
+    """
+    K = Ms.shape[0]
+    g = pT.grid
+    h = _TWO_PI / g
+    margin = 2.0 * r * gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, pT.omega)
+    mask = pT.hi >= pT.omega - margin
+    if int(mask.sum()) <= g // 8:
+        runs = numrange._true_runs(mask)
+        peaks = [s + int(np.argmax(pT.hi[np.arange(s, e + 1) % g])) for s, e in runs]
+        owner = np.repeat(np.arange(K), len(runs))
+        a = [(s - 1) * h for s, _ in runs] * K
+        b = [(e + 1) * h for _, e in runs] * K
+        x0 = [(k % g) * h for k in peaks] * K
+        seeds = list(zip(x0, numrange._lammax_at(Ms, owner, x0).tolist()))
+        best = np.full(K, -math.inf)
+    else:
+        his = numrange._sweep_extremes(Ms, 256)[1]
+        h = _TWO_PI / 256
+        lbar = max(pT.lip + r * lipS, 1e-300)
+        best = his.max(axis=1)
+        owner, a, b, seeds = [], [], [], []
+        for k, hi in enumerate(his):
+            cut = float(best[k]) - lbar * h
+            for s, e in numrange._cyclic_local_max_groups(hi):
+                gv = float(hi[s % hi.size])
+                if gv >= cut:
+                    owner.append(k)
+                    a.append((s - 1) * h)
+                    b.append((e + 1) * h)
+                    seeds.append((s * h, gv))
+    for k, (_, fx) in zip(owner, numrange._refine_peaks(Ms, owner, a, b, width, seeds)):
+        best[k] = max(best[k], fx)
+    return best
+
+
 def _quotient_limit(
     T: np.ndarray, S: np.ndarray, theta: float, tol: float
 ) -> DerivativeResult:
     """Quotient limit along a halving schedule with windowed re-maximization.
 
-    The maximizing support angle of T + r e^{i theta} S always lies
-    where the support function of T itself is within 2 r omega(S) of
-    its peak, so for small r only those runs of T's cached profile need
-    refining; larger steps fall back to a full sweep. Once two
-    quotients are in hand, their secant slope predicts how small r must
-    get for the quotient to settle within tol, and the schedule jumps
-    there instead of halving all the way.
+    Each omega(T + r e^{i theta} S) comes from `_radius_near`, with a
+    golden width that shrinks with r. Once two quotients are in hand,
+    their secant slope predicts how small r must get for the quotient to
+    settle within tol, and the schedule jumps there instead of halving
+    all the way.
     """
     pT = numrange._profile(T)
     pS = numrange._profile(S)
@@ -180,36 +228,12 @@ def _quotient_limit(
     if wS == 0.0:
         return DerivativeResult(0.0, float(theta), ((r0, 0.0),), True)
     U = cmath.exp(1j * theta) * S
-    g = pT.grid
-    h = _TWO_PI / g
+    h = _TWO_PI / pT.grid
     scale = max(1.0, wT + r0 * wS)
 
-    def golden_width(r: float) -> float:
-        w = math.sqrt(max(r * tol, 0.0)) / (2.5 * scale)
-        return min(h, max(w, 1e-14))
-
     def omega_at(r: float) -> float:
-        M = T + r * U
-        fn = numrange._lammax_fn(M)
-        margin = 2.0 * r * wS + 0.5 * pT.lip * h + 1e-12 * scale
-        mask = pT.hi >= wT - margin
-        if int(mask.sum()) > g // 8:
-            hi = numrange._sweep_extremes(M, g)[1]
-            src, top = hi, float(hi.max())
-            lbar = max(pT.lip + r * pS.lip, 1e-300)
-            runs = numrange._true_runs(hi >= top - lbar * h)
-        else:
-            src = pT.hi
-            runs = numrange._true_runs(mask)
-        best = -math.inf
-        for s, e in runs:
-            k = s + int(np.argmax(src[np.arange(s, e + 1) % g]))
-            x0 = (k % g) * h
-            _, fx = numrange._golden_max(
-                fn, (s - 1) * h, (e + 1) * h, golden_width(r), (x0, fn(x0))
-            )
-            best = max(best, fx)
-        return best
+        width = min(h, max(math.sqrt(max(r * tol, 0.0)) / (2.5 * scale), 1e-14))
+        return float(_radius_near(pT, wS, pS.lip, (T + r * U)[None], r, width)[0])
 
     trace: list[tuple[float, float]] = []
     prev = None
@@ -324,9 +348,7 @@ class _ActiveModel:
 
 def _compression(T: np.ndarray, S: np.ndarray, phi: float, gap_tol: float):
     """Top-eigenspace compression V* S V of S at support angle phi of T."""
-    z = cmath.exp(1j * phi)
-    H = 0.5 * (z * T + np.conj(z) * T.conj().T)
-    w, vec = np.linalg.eigh(H)
+    w, vec = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * phi)))
     m = int(np.count_nonzero(w >= w[-1] - gap_tol))
     V = vec[:, -m:]
     return V.conj().T @ S @ V
@@ -337,7 +359,7 @@ def _hp_lammax(z: complex, C: np.ndarray) -> float:
     if C.shape[0] == 1:
         # Re(z c), rounded exactly as the general path rounds it
         return float((z * C)[0, 0].real)
-    return _eig.lammax_single(0.5 * (z * C + np.conj(z) * C.conj().T))
+    return _eig.lammax_single(_hermitian_rot(C, z))
 
 
 _MODEL_CACHE = _LRU(512)
@@ -368,9 +390,7 @@ def _active_model(T: np.ndarray, S: np.ndarray) -> _ActiveModel:
         # carry per-angle slopes and refine inside the arcs on demand
         idx = np.flatnonzero(mask)
         phis = pT.thetas[idx]
-        E = np.exp(1j * phis)[:, None, None] * T[None, :, :]
-        H = 0.5 * (E + np.conj(np.swapaxes(E, 1, 2)))
-        _, vec = np.linalg.eigh(H)
+        _, vec = np.linalg.eigh(_hermitian_rot(T, np.exp(1j * phis)))
         x = vec[:, :, -1]
         c = np.einsum("ki,ij,kj->k", x.conj(), S, x)
         model.plateau_amp = np.abs(c)
@@ -391,12 +411,7 @@ def _model_vals(model: _ActiveModel, thetas: np.ndarray) -> np.ndarray:
             c = complex(C[0, 0])
             parts.append(abs(c) * np.cos(thetas + (phi + cmath.phase(c))))
         else:
-            z = np.exp(1j * (thetas + phi))
-            Hb = 0.5 * (
-                z[:, None, None] * C[None, :, :]
-                + np.conj(z)[:, None, None] * C.conj().T[None, :, :]
-            )
-            parts.append(_eig.max_batch(Hb))
+            parts.append(_eig.max_batch(_hermitian_rot(C, np.exp(1j * (thetas + phi)))))
     if model.plateau_amp is not None:
         grid = np.cos(thetas[:, None] + model.plateau_psi[None, :])
         parts.append((grid * model.plateau_amp[None, :]).max(axis=1))
@@ -578,32 +593,11 @@ def min_epsilon(T, S) -> float:
 # exact orthogonality boundary, or for adversarial curvature kinks at
 # micro radii), the verdict falls back to the best accurately evaluated
 # minimum, which is also what the report carries as its margin.
-
-
-def _golden_lockstep(fb, a: np.ndarray, b: np.ndarray, iters: int) -> np.ndarray:
-    """Golden-section maximization of many bracketed curves in lockstep.
-
-    ``fb`` maps an array of abscissae (one per lane) to an array of
-    values; each iteration costs one batched call regardless of the
-    number of lanes.
-    """
-    invphi = 0.6180339887498949
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fb(c)
-    fd = fb(d)
-    for _ in range(iters):
-        upd = fc >= fd
-        b = np.where(upd, d, b)
-        a = np.where(upd, a, c)
-        x = np.where(upd, b - invphi * (b - a), a + invphi * (b - a))
-        fx = fb(x)
-        c_new = np.where(upd, x, d)
-        fc_new = np.where(upd, fx, fd)
-        d = np.where(upd, c, x)
-        fd = np.where(upd, fc, fx)
-        c, fc = c_new, fc_new
-    return np.maximum(fc, fd)
+#
+# Every value of F, at the micro radii and along the ternary searches
+# alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
+# gauge runs `_radius_near` (the kernel of the quotient limit too) with
+# one fixed golden width, so the nodes and the confirmations agree.
 
 
 class _Gauge:
@@ -613,125 +607,32 @@ class _Gauge:
         self.kind = kind
         self.T = T
         self.S = S
-        self.n = T.shape[0]
         if kind == "omega":
             self.profT = numrange._profile(T)
             profS = numrange._profile(S)
             self.gT = self.profT.omega
             self.gS = profS.omega
-            self.lipT = self.profT.lip
             self.lipS = profS.lip
         else:
             self.gT = _eig.spectral_norm_fast(T)
             self.gS = _eig.spectral_norm_fast(S)
 
-    def _sigma_sq(self, theta: float, r: float) -> float:
-        M = self.T + (r * cmath.exp(1j * theta)) * self.S
-        return max(float(_eig.lammax_single(M.conj().T @ M)), 0.0)
+    def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
+        """Accurate g^2 at every angle of ``thetas``, one radius r.
 
-    def acc_sq(self, theta: float, r: float) -> float:
-        """Accurate g^2: full support sweep plus golden refinement."""
-        if self.kind == "sigma":
-            return self._sigma_sq(theta, r)
-        return float(self._acc_sq_stack(np.array([theta]), r)[0])
-
-    def _acc_sq_stack(self, thetas: np.ndarray, r: float) -> np.ndarray:
-        """Radius-gauge acc_sq at every angle of ``thetas``, one radius r.
-
-        One batched 256-angle sweep covers all K matrices; each matrix's
-        near-top grid peaks are then refined together in one lockstep
-        golden search.
+        The spectral norm comes from one batched Gram eigensolve; the
+        radius from `_radius_near`, with golden searches down to 1e-7.
         """
         Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
-        his = numrange._sweep_extremes(Ms, 256)[1]
-        h = _TWO_PI / his.shape[-1]
-        lbar = max(self.lipT + r * self.lipS, 1e-300)
-        best = his.max(axis=1)
-        owner, a, b, seeds = [], [], [], []
-        for k, hi in enumerate(his):
-            cut = float(best[k]) - lbar * h
-            # refine every grid peak that can still hold the maximum; one
-            # search over a whole near-top run can settle on its lower peak
-            for s, e in numrange._cyclic_local_max_groups(hi):
-                gv = float(hi[s % hi.size])
-                if gv >= cut:
-                    owner.append(k)
-                    a.append((s - 1) * h)
-                    b.append((e + 1) * h)
-                    seeds.append((s * h, gv))
-        refined = numrange._refine_peaks(Ms, owner, a, b, 1e-7, seeds)
-        for k, (_, fx) in zip(owner, refined):
-            best[k] = max(best[k], fx)
-        return np.maximum(best, 0.0) ** 2
-
-    def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
-        """acc_micro at every angle of ``thetas``, one micro radius r.
-
-        A support window too wide for the windowed path (a disk-like
-        range) takes the stacked acc_sq, as acc_micro does per angle.
-        Otherwise the window runs depend only on r, so all angles share
-        brackets and the golden refinements proceed in lockstep.
-        """
-        zs = r * np.exp(1j * thetas)
         if self.kind == "sigma":
-            M = self.T[None, :, :] + zs[:, None, None] * self.S[None, :, :]
-            G = np.matmul(np.conj(np.swapaxes(M, 1, 2)), M)
+            G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
             return np.maximum(_eig.max_batch(G), 0.0)
-        pT = self.profT
-        grid = pT.thetas
-        h = _TWO_PI / grid.size
-        margin = 2.0 * r * self.gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, self.gT)
-        mask = pT.hi >= pT.omega - margin
-        if int(mask.sum()) > grid.size // 8:
-            return self._acc_sq_stack(thetas, r)
-        runs = numrange._true_runs(mask)
-        M = self.T[None, :, :] + zs[:, None, None] * self.S[None, :, :]
-        K = thetas.size
-        R = len(runs)
-        MM = np.repeat(M, R, axis=0)  # lane order: (theta_0 runs..., theta_1 runs...)
-        a = np.tile(np.array([(s - 1) * h for s, _ in runs]), K)
-        b = np.tile(np.array([(e + 1) * h for _, e in runs]), K)
+        w = _radius_near(self.profT, self.gS, self.lipS, Ms, r, 1e-7)
+        return np.maximum(w, 0.0) ** 2
 
-        def fb(x: np.ndarray) -> np.ndarray:
-            z = np.exp(1j * x)
-            H = 0.5 * (z[:, None, None] * MM + np.conj(z)[:, None, None]
-                       * np.conj(np.swapaxes(MM, 1, 2)))
-            return _eig.max_batch(H)
-
-        w0 = float((b - a).max())
-        iters = int(min(34, max(18, math.ceil(math.log(w0 / 4e-7) / 0.4812))))
-        vals = _golden_lockstep(fb, a, b, iters).reshape(K, R).max(axis=1)
-        return np.maximum(vals, 0.0) ** 2
-
-    def acc_micro(self, theta: float, r: float) -> float:
-        """Accurate g^2 for micro radii r, reusing the support profile of T.
-
-        The support function moves by at most r g(S) pointwise, so the
-        maximizing angle of the perturbed matrix stays inside the set
-        where T's own support function is within 2 r g(S) of its peak.
-        Refining only those runs replaces the full sweep; a window too
-        wide for that (a disk-like range) takes the full acc_sq.
-        """
-        if self.kind == "sigma":
-            return self._sigma_sq(theta, r)
-        pT = self.profT
-        thetas = pT.thetas
-        h = _TWO_PI / thetas.size
-        margin = 2.0 * r * self.gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, self.gT)
-        mask = pT.hi >= pT.omega - margin
-        if int(mask.sum()) > thetas.size // 8:
-            return self.acc_sq(theta, r)
-        M = self.T + (r * cmath.exp(1j * theta)) * self.S
-        fn = numrange._lammax_fn(M)
-        best = 0.0
-        for s, e in numrange._true_runs(mask):
-            k = s + int(np.argmax(pT.hi[np.arange(s, e + 1) % thetas.size]))
-            x0 = k * h
-            _, fx = numrange._golden_max(
-                fn, (s - 1) * h, (e + 1) * h, 1e-6, (x0, fn(x0))
-            )
-            best = max(best, fx)
-        return best * best
+    def acc_sq(self, theta: float, r: float) -> float:
+        """Accurate g^2 at one point: micro_batch at a single angle."""
+        return float(self.micro_batch(np.array([theta]), r)[0])
 
 
 def _scan_minimum(
@@ -766,29 +667,21 @@ def _scan_minimum(
         if v < best[0]:
             best[0], best[1], best[2] = v, th, r
 
-    def F_micro(th: float, r: float) -> float:
-        v = gauge.acc_micro(th, r) - gT * gT + off * r
-        note(v, th, r)
-        return v
-
-    def F_full(th: float, r: float) -> float:
-        v = gauge.acc_sq(th, r) - gT * gT + off * r
+    def F(th: float, r: float, g2: float) -> float:
+        v = g2 - gT * gT + off * r
         note(v, th, r)
         return v
 
     nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
 
-    def eval_node(th: float) -> tuple[float, float]:
-        got = nodes.get(th)
-        if got is not None:
-            return got
-        f1 = F_micro(th, rbar)
-        f2 = F_micro(th, 2.0 * rbar)
-        mt = f1 / (2.0 * rbar)
-        s_plus = max((f2 - f1) / rbar, 0.0)
-        got = (mt, f1 - rbar * s_plus)
-        nodes[th] = got
-        return got
+    def eval_nodes(ths: list[float]) -> None:
+        g1 = gauge.micro_batch(np.array(ths), rbar)
+        g2 = gauge.micro_batch(np.array(ths), 2.0 * rbar)
+        for th, w1, w2 in zip(ths, g1.tolist(), g2.tolist()):
+            f1 = F(th, rbar, w1)
+            f2 = F(th, 2.0 * rbar, w2)
+            s_plus = max((f2 - f1) / rbar, 0.0)
+            nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
 
     tern_done: set[float] = set()
     tern_count = [0]
@@ -805,7 +698,7 @@ def _scan_minimum(
         def f(r: float) -> float:
             v = fa_cache.get(r)
             if v is None:
-                v = F_full(th, r)
+                v = F(th, r, gauge.acc_sq(th, r))
                 fa_cache[r] = v
             return v
 
@@ -831,17 +724,8 @@ def _scan_minimum(
         mt, bb = nodes[th]
         return mt < -0.5 * tau_m or bb < -0.5 * tau
 
-    base_arr = np.arange(64) * (_TWO_PI / 64.0)
-    base = [float(t) for t in base_arr]
-    g1 = gauge.micro_batch(base_arr, rbar)
-    g2 = gauge.micro_batch(base_arr, 2.0 * rbar)
-    for th, w1, w2 in zip(base, g1, g2):
-        f1 = float(w1) - gT * gT + off * rbar
-        f2 = float(w2) - gT * gT + off * (2.0 * rbar)
-        note(f1, th, rbar)
-        note(f2, th, 2.0 * rbar)
-        s_plus = max((f2 - f1) / rbar, 0.0)
-        nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
+    base = (np.arange(64) * (_TWO_PI / 64.0)).tolist()
+    eval_nodes(base)
     for th in sorted(base, key=lambda t: nodes[t][0]):
         if not candidate(th):
             break
@@ -868,7 +752,7 @@ def _scan_minimum(
         if d >= 44 or len(nodes) >= 1600:
             continue  # cap: verdict falls back to the evaluated minimum
         m = 0.5 * (a + b)
-        eval_node(m)
+        eval_nodes([m])
         if candidate(m):
             got = lane_ternary(m)
             if got is not None and got[0] < -tau:

@@ -290,6 +290,27 @@ def test_small_oracle_grid_exits_2(capsys):
     assert rc == 2
 
 
+def test_flags_are_rejected_where_unused(capsys):
+    # only oracle-scan reads --grid; only radius, crawford, deriv and
+    # inf-deriv read --tol
+    assert main(["ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.7", "--grid", "64"]) == 2
+    assert main(["min-eps", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--tol", "1e-6"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "--t", "[1,1;0,-1]"],
+        ["crawford", "--t", "[1,1;0,-1]"],
+        ["deriv", "--t", "[1,1;0,-1]", "--s", "[1,0;0,1]"],
+        ["inf-deriv", "--t", "[1,1;0,-1]", "--s", "[1,0;0,1]"],
+    ],
+)
+def test_zero_tolerance_exits_2(capsys, argv):
+    # a zero tolerance is an error, not a request for the default
+    assert main(argv + ["--tol", "0"]) == 2
+
+
 # --- installed entry point ---------------------------------------------------------
 
 

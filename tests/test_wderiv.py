@@ -428,18 +428,47 @@ def test_one_by_one_compression_rounds_like_the_general_path():
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
-def test_wide_window_micro_batch_matches_per_angle_acc_sq(scale):
+def test_micro_batch_matches_per_angle_acc_sq(scale):
     # a square-zero T has a disk for its range, so every support angle is
-    # near the top and micro_batch takes the stacked full sweep
+    # near the top and the kernel takes the stacked full sweep; a generic
+    # T keeps a narrow window and the kernel searches its runs
     gen = oracle.generators(77)
-    T = linalg.as_matrix(gen.nilpotent_rank_one(3))
-    S = linalg.as_matrix(gen.matrix(3))
-    gauge = _Gauge(T, S, "omega")
-    pT = gauge.profT
-    r = scale * math.sqrt(DECISION_TOL) / (4.0 * gauge.gS)  # the scan's rbar
-    margin = 2.0 * r * gauge.gS + 0.5 * pT.lip * (2.0 * math.pi / 1024) + 1e-12
-    assert int((pT.hi >= pT.omega - margin).sum()) > 1024 // 8
-    base = np.arange(64) * (2.0 * math.pi / 64)
-    got = gauge.micro_batch(base, r)
-    ref = [gauge.acc_sq(float(th), r) for th in base]
-    assert got.tolist() == ref
+    for base, n in (("disk", 3), ("generic", 3), ("generic", 4)):
+        T = gen.nilpotent_rank_one(n) if base == "disk" else gen.matrix(n)
+        T = linalg.as_matrix(T)
+        S = linalg.as_matrix(gen.matrix(n))
+        gauge = _Gauge(T, S, "omega")
+        pT = gauge.profT
+        r = scale * math.sqrt(DECISION_TOL) / (4.0 * gauge.gS)  # the scan's rbar
+        margin = 2.0 * r * gauge.gS + 0.5 * pT.lip * (2.0 * math.pi / 1024) + 1e-12
+        wide = int((pT.hi >= pT.omega - margin).sum()) > 1024 // 8
+        assert wide == (base == "disk")
+        thetas = np.arange(64) * (2.0 * math.pi / 64)
+        got = gauge.micro_batch(thetas, r)
+        ref = [gauge.acc_sq(float(th), r) for th in thetas]
+        assert got.tolist() == ref
+
+
+def test_acc_sq_never_misses_a_dense_sweep_peak():
+    # acc_sq takes T's narrow window at micro radii and a full sweep of
+    # T + lam S otherwise; either way it must reach the radius a dense
+    # 4096-angle sweep of T + lam S finds, over the decider's whole
+    # range [r_lo, r_max] of |lam|
+    gen = oracle.generators(2024)
+    rng = np.random.default_rng(2024)
+    phis = np.arange(2048) * (2.0 * math.pi / 4096)
+    for i in range(200):
+        n = 2 + i % 5
+        T = gen.nilpotent_rank_one(n) if i % 3 == 0 else gen.matrix(n)
+        T = linalg.as_matrix(T)
+        S = linalg.as_matrix(gen.matrix(n))
+        gauge = _Gauge(T, S, "omega")
+        r_lo = DECISION_TOL / (4.0 * gauge.gT * gauge.gS)
+        r_max = 2.0 * gauge.gT / gauge.gS
+        r = float(np.exp(rng.uniform(math.log(r_lo), math.log(r_max))))
+        th = float(rng.uniform(0.0, 2.0 * math.pi))
+        M = T + r * np.exp(1j * th) * S
+        E = np.exp(1j * phis)[:, None, None] * M[None]
+        w = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
+        dense = max(w[:, -1].max(), -w[:, 0].min())
+        assert gauge.acc_sq(th, r) >= dense**2 - 1e-9, (i, n, th, r)
