@@ -16,6 +16,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from collections import OrderedDict
@@ -128,10 +129,18 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     """Rotated Hermitian part H_theta = (e^{i theta} T + e^{-i theta} T*) / 2.
 
     Satisfies <H_theta x, x> = Re(e^{i theta} <T x, x>) for every x.
-    The angle may be any real number; it enters only through e^{i theta}.
-    The construction is exactly Hermitian in floating point.
+    The angle may be any finite real number; it enters only through
+    e^{i theta}. The construction is exactly Hermitian in floating point.
+
+    Raises
+    ------
+    ValueError
+        If ``theta`` is NaN or infinite.
     """
-    return _freeze(_hermitian_rot(as_matrix(T), np.exp(1j * float(theta))))
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return _freeze(_hermitian_rot(as_matrix(T), np.exp(1j * theta)))
 
 
 def _hermitian_rot(M: np.ndarray, z) -> np.ndarray:

@@ -17,13 +17,14 @@ independent ``oracle`` builds H_theta there.
 
 The theta maximization runs a coarse grid first (lambda_max(H_theta) is
 Lipschitz in theta with constant ||T||, but may be multimodal), then
-golden-section refinement of every competitive grid bracket. For
-n >= 3 the brackets are refined in lockstep: each golden step makes one
-batched eigensolve over every bracket still open, possibly of several
-matrices, with per-bracket results bit for bit those of the scalar
-search. Sweep results are memoized per matrix because downstream
-derivative and orthogonality code re-evaluates the same profiles
-heavily.
+golden-section refinement of every competitive grid bracket (a sweep
+flat up to rounding, as for a disk centred at 0, keeps its grid maximum
+alone). For n >= 3 the brackets are refined in lockstep: each golden
+step makes one batched eigensolve over every bracket still open,
+possibly of several matrices, with per-bracket results bit for bit those
+of the scalar search. Sweep results are memoized per matrix because
+downstream derivative and orthogonality code re-evaluates the same
+profiles heavily.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ __all__ = [
 GRID_DEFAULT = 1024
 
 _TWO_PI = 2.0 * math.pi
+# a support sweep whose spread is within _FLAT n u ||T|| is flat: square-zero
+# T (n = 2..8) and J + J spread 1-5.5 u ||T||, generic T at least 0.13 ||T||
+_FLAT = 4.0 * np.finfo(float).eps
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -409,17 +413,15 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
         width_target = tol / max(p.lip, 1e-300)
         peaks: list[tuple[float, float]] = []
         brackets: list[tuple[float, float, tuple[float, float]]] = []
-        for s, e in _cyclic_local_max_groups(p.hi):
-            gv = float(p.hi[s % p.grid])
-            if gv < keep:
-                continue
-            a = (s - 1) * h
-            b = (e + 1) * h
-            if b - a >= _TWO_PI:
-                # flat curve: the grid already resolves it
-                peaks.append((p.thetas[int(np.argmax(p.hi))], omega_grid))
-                continue
-            brackets.append((a, b, (0.5 * (s + e) * h, gv)))
+        if omega_grid - float(p.hi.min()) <= _FLAT * n * p.lip:
+            # flat curve (a disk centred at 0): its local maxima are rounding
+            # noise, and the grid already resolves it
+            peaks.append((p.thetas[int(np.argmax(p.hi))], omega_grid))
+        else:
+            for s, e in _cyclic_local_max_groups(p.hi):
+                gv = float(p.hi[s % p.grid])
+                if gv >= keep:
+                    brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))
         if brackets:
             a, b, seeds = zip(*brackets)
             refined = _refine_peaks(T[None], [0] * len(a), a, b, width_target, seeds)

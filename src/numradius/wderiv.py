@@ -32,23 +32,26 @@ method locates the minimizing angle, the "direct" method minimizes the
 margin of the defining inequality over the whole lam plane. The two
 routes share no decision logic, so each validates the other.
 
-Internal angle-locating machinery uses the active-support identity
+The worst direction comes from the active-support identity
 
     D(theta) = omega(T) * max over active angles phi of
                lambda_max(hermitian part of e^{i(theta+phi)} V* S V),
 
 where phi ranges over support angles attaining omega(T) and V spans the
-top eigenspace of the rotated Hermitian part at phi. This is the
-standard directional-derivative formula for a max-type function (exact
-in finite dimension); it is used only to find candidate angles quickly,
-and every reported value is re-derived from the difference quotients so
-the two routes cross-check on every call.
+top eigenspace of the rotated Hermitian part at phi: the standard
+directional-derivative formula for a max-type function, exact in finite
+dimension. D / omega(T) is thus the support function of the convex set
+K = conv U_phi e^{i phi} W(V* S V). ``inf_derivative`` reports omega(T)
+times its minimum, and the minimizing angle, both from exact support
+points of K; ``derivative_via_maximizers`` evaluates it at one angle. The
+difference-quotient limit at the worst angle, and a second one 2 rad
+away, must agree with omega(T) times the support function there, or
+ConvergenceError is raised, so the two routes cross-check on every call.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -311,155 +314,199 @@ def semi_inner(S, T) -> float:
 
 
 def derivative_via_maximizers(T, S, theta: float) -> float:
-    """Estimate the derivative from the maximizer set of T alone.
+    """The derivative from the maximizing vectors of omega(T) alone.
 
-    Returns max over maximizing vectors x of
-    Re( e^{-i theta} <T x, x> * conj(<S x, x>) ). Exact when the
-    maximizing angles and vectors are unique; with degenerate top
-    eigenspaces it may under-report, so it serves as a cheap estimate
-    and a cross-check, never as the decision path.
+    omega(T) times the largest Re(e^{i (theta + phi)} <S x, x>) over the
+    maximizing vectors x of T, phi being the support angle at which x
+    attains omega(T) (see `_ActiveSet`); no difference quotient is taken.
     """
     T, S = _pair(T, S)
-    theta = float(theta)
-    ms = numrange.maximizers(T)
-    ph = cmath.exp(-1j * theta)
-    best = -math.inf
-    for _, x in ms.pairs:
-        tq = complex(np.vdot(x, T @ x))
-        sq = complex(np.vdot(x, S @ x))
-        best = max(best, (ph * tq * sq.conjugate()).real)
-    return float(best)
+    theta = _validate_theta(theta)
+    wT = numrange._omega_of(T)
+    return wT * _ActiveSet(T, S).settle(theta)[0] if wT > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
-# locating the worst direction angle (active-support model)
+# the worst direction angle: D(theta) = omega(T) sigma(theta), sigma the
+# support function of K (module docstring). Points of K span a hull whose
+# support never exceeds sigma; sampling 32 times finer around the points that
+# touch it in the direction of interest makes it exact in a few rounds.
 
 
-class _ActiveModel:
-    __slots__ = ("omega", "nodes", "plateau_amp", "plateau_psi", "runs", "gap_tol")
+def _hull(P: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of conv(P), counter-clockwise (monotone chain)."""
+    pts, idx = np.unique(P, return_index=True)  # sorted by real, then imag part
+    x, y = pts.real.tolist(), pts.imag.tolist()
 
-    omega: float
-    nodes: list[tuple[float, np.ndarray]]
-    plateau_amp: np.ndarray | None
-    plateau_psi: np.ndarray | None
-    runs: list[tuple[float, float]]
-    gap_tol: float
+    def chain(order) -> list[int]:
+        out: list[int] = []
+        for i in order:
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                if (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a]) > 0.0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
 
-
-def _compression(T: np.ndarray, S: np.ndarray, phi: float, gap_tol: float):
-    """Top-eigenspace compression V* S V of S at support angle phi of T."""
-    w, vec = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * phi)))
-    m = int(np.count_nonzero(w >= w[-1] - gap_tol))
-    V = vec[:, -m:]
-    return V.conj().T @ S @ V
-
-
-def _hp_lammax(z: complex, C: np.ndarray) -> float:
-    """lambda_max of the Hermitian part of z C for a small compression C."""
-    if C.shape[0] == 1:
-        # Re(z c), rounded exactly as the general path rounds it
-        return float((z * C)[0, 0].real)
-    return _eig.lammax_single(_hermitian_rot(C, z))
+    if len(x) <= 2:
+        return idx
+    return idx[chain(range(len(x)))[:-1] + chain(range(len(x) - 1, -1, -1))[:-1]]
 
 
-_MODEL_CACHE = _LRU(512)
+def _min_support(V: np.ndarray) -> complex:
+    """The unit u minimizing max_v Re(v conj(u)) over a convex polygon V
+    (counter-clockwise): an edge's outer normal or, when 0 lies outside,
+    maybe a vertex's antipode. Candidates are confirmed against every
+    vertex in the order of their own offsets, which bound their support
+    from below, so rounding on a short edge cannot fake a minimum."""
+    r = np.abs(V)
+    if V.size == 1:
+        return -V[0] / r[0] if r[0] > 0.0 else 1.0 + 0j
+    E = np.roll(V, -1) - V
+    near = (r > 0.0) & ((E * V.conj()).real >= 0.0)
+    near &= ((np.roll(V, 1) - V) * V.conj()).real >= 0.0
+    U = np.concatenate((-1j * E / np.abs(E), -V[near] / r[near]))
+    lower = np.concatenate(((V * U[: V.size].conj()).real, -r[near]))
+    best, arg = math.inf, 0
+    for i in np.argsort(lower).tolist():
+        if lower[i] >= best - 1e-15 * r.max():
+            break
+        t = float((V * U[i].conj()).real.max())
+        if t < best:
+            best, arg = t, i
+    return complex(U[arg])
 
 
-def _active_model(T: np.ndarray, S: np.ndarray) -> _ActiveModel:
-    key = (T.tobytes(), S.tobytes(), T.shape[0])
-    hit = _MODEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pT = numrange._profile(T)
-    act_tol = 1e-9 * max(1.0, pT.lip)
-    gap_tol = 1e-8 * max(1.0, pT.lip)
-    model = _ActiveModel()
-    model.omega = pT.omega
-    model.gap_tol = gap_tol
-    model.nodes = [
-        (phi, _compression(T, S, phi, gap_tol))
-        for phi, v in pT.peaks
-        if v >= pT.omega - act_tol
-    ]
-    model.plateau_amp = None
-    model.plateau_psi = None
-    model.runs = []
-    mask = pT.hi >= pT.omega - act_tol
-    if int(mask.sum()) >= 8:
-        # a whole arc of support angles is active (disk-like range):
-        # carry per-angle slopes and refine inside the arcs on demand
-        idx = np.flatnonzero(mask)
-        phis = pT.thetas[idx]
-        _, vec = np.linalg.eigh(_hermitian_rot(T, np.exp(1j * phis)))
-        x = vec[:, :, -1]
-        c = np.einsum("ki,ij,kj->k", x.conj(), S, x)
-        model.plateau_amp = np.abs(c)
-        model.plateau_psi = phis + np.angle(c)
-        h = _TWO_PI / pT.thetas.size
-        model.runs = [
-            (float(s * h - h), float(e * h + h)) for s, e in numrange._true_runs(mask)
-        ]
-    _MODEL_CACHE.put(key, model)
-    return model
+# a point of K, its angle phi, and the spacing of the samples around it
+_POINT = np.dtype([("p", complex), ("phi", float), ("h", float)])
 
 
-def _model_vals(model: _ActiveModel, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized model evaluation of D(theta) on a grid."""
-    parts = []
-    for phi, C in model.nodes:
-        if C.shape[0] == 1:
-            c = complex(C[0, 0])
-            parts.append(abs(c) * np.cos(thetas + (phi + cmath.phase(c))))
-        else:
-            parts.append(_eig.max_batch(_hermitian_rot(C, np.exp(1j * (thetas + phi)))))
-    if model.plateau_amp is not None:
-        grid = np.cos(thetas[:, None] + model.plateau_psi[None, :])
-        parts.append((grid * model.plateau_amp[None, :]).max(axis=1))
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.maximum(out, p)
-    return model.omega * out
+class _ActiveSet:
+    """Points of K and the blocks they come from.
 
+    An active angle phi with a one-dimensional top eigenspace V gives the
+    point e^{i phi} <S x, x>; a larger V gives a block C = V* S V, whose
+    support in direction theta is lambda_max(H_{theta+phi}(C)), at the
+    point e^{i phi} <C y, y> for a top eigenvector y. Isolated active
+    angles are T's profile peaks; 8 or more active grid angles make an arc
+    (as for a disk-shaped range), sampled at all of them and, later, at
+    any active angle between them."""
 
-def _model_refined(
-    model: _ActiveModel, T: np.ndarray, S: np.ndarray, theta: float
-) -> float:
-    """Exact (non-grid) model evaluation of D(theta) at a single angle."""
-    best = -math.inf
-    for phi, C in model.nodes:
-        z = cmath.exp(1j * (theta + phi))
-        best = max(best, _hp_lammax(z, C))
-    if model.runs:
+    def __init__(self, T: np.ndarray, S: np.ndarray):
+        pT = numrange._profile(T)
+        self.T, self.S = T, S
+        self.floor = pT.omega - 1e-9 * max(1.0, pT.lip)  # lambda_max of an active angle
+        # a curve sampled at spacing h stays within curv h^2 of its samples
+        # (the arcs of square-zero bases bend by at most 2.1 ||S|| per rad^2)
+        self.curv = numrange._profile(S).lip
+        # on an arc, eigenvalues share a top eigenspace only if they tie to
+        # rounding, or a block active at one angle would turn with the arc
+        self.tie = numrange._FLAT * pT.n * pT.lip
+        self.blocks: dict[int, list[tuple]] = {}  # size: [(phi, C, spacing)]
+        self.pts = np.empty(0, _POINT)
+        gap = 1e-8 * max(1.0, pT.lip)
+        self._arc(np.array([phi for phi, v in pT.peaks if v >= self.floor]), 0.0, gap)
+        idx = np.flatnonzero(pT.hi >= self.floor)
+        if idx.size >= 8:
+            h = _TWO_PI / pT.grid
+            phis = np.unique(idx % (pT.grid // 2)) * h
+            w = self._arc(phis, h, self.tie, antipodes=True)
+            # a block active at one angle alone can hide between grid angles
+            # of the arc: search wherever a second eigenvalue comes close
+            top, second = np.concatenate((w[:, -1:-3:-1], -w[:, :2])).T
+            near = (second >= self.floor - pT.lip * h * h) & (second < top - self.tie)
+            for phi in np.concatenate((phis, phis + math.pi))[near].tolist():
+                seed = (phi, self._second(phi))
+                x, _ = numrange._golden_max(self._second, phi - h, phi + h, 1e-9, seed)
+                self._arc(np.array([x]), 0.0, gap)
+        # about 1024 support points of blocks, at least 16 per block
+        self.ring = max(16, 1024 // max(1, sum(map(len, self.blocks.values()))))
+        self._blocks_at(np.arange(self.ring) * (_TWO_PI / self.ring))
 
-        def slope(phi: float) -> float:
-            C = _compression(T, S, phi, model.gap_tol)
-            return _hp_lammax(cmath.exp(1j * (theta + phi)), C)
+    def _second(self, phi: float) -> float:
+        return float(np.linalg.eigvalsh(_hermitian_rot(self.T, cmath.exp(1j * phi)))[-2])
 
-        for a, b in model.runs:
-            probes = np.linspace(a, b, 9)
-            vals = [slope(float(p)) for p in probes]
-            k = int(np.argmax(vals))
-            lo = float(probes[max(k - 1, 0)])
-            hi = float(probes[min(k + 1, 8)])
-            _, fx = numrange._golden_max(
-                slope, lo, hi, 1e-6, (float(probes[k]), float(vals[k]))
-            )
-            best = max(best, fx)
-    return model.omega * best
+    def _add(self, p, phi, h) -> None:
+        new = np.empty(np.size(p), _POINT)
+        new["p"], new["phi"], new["h"] = p, phi, h
+        self.pts = np.concatenate((self.pts, new))
+
+    def _arc(self, phis: np.ndarray, h: float, tie: float, antipodes: bool = False):
+        """Sample the active angles among ``phis`` (and phis + pi with
+        ``antipodes``: H_{phi+pi} = -H_phi); eigenvalues within ``tie`` of the
+        top share its eigenspace. Returns the eigenvalues at ``phis``."""
+        if phis.size == 0:
+            return None
+        w, V = np.linalg.eigh(_hermitian_rot(self.T, np.exp(1j * phis)))
+        sides = [(phis, w[:, -1], (w >= w[:, -1:] - tie).sum(axis=1), -1)]
+        if antipodes:
+            sides.append((phis + math.pi, -w[:, 0], (w <= w[:, :1] + tie).sum(axis=1), 0))
+        for ang, top, m, col in sides:
+            one = np.flatnonzero((top >= self.floor) & (m == 1))
+            x = V[one, :, col]
+            c = np.einsum("ki,ij,kj->k", x.conj(), self.S, x)
+            self._add(np.exp(1j * ang[one]) * c, ang[one], h)
+            for k in np.flatnonzero((top >= self.floor) & (m > 1)).tolist():
+                Vm = V[k][:, -m[k]:] if col == -1 else V[k][:, : m[k]]
+                block = (float(ang[k]), Vm.conj().T @ self.S @ Vm, h)
+                self.blocks.setdefault(int(m[k]), []).append(block)
+        return w
+
+    def _blocks_at(self, thetas: np.ndarray) -> np.ndarray:
+        """Add every block's support point in each direction of ``thetas``;
+        return the largest support in each direction."""
+        best = np.full(thetas.size, -math.inf)
+        for group in self.blocks.values():
+            phis, Cs, hs = (np.array(v) for v in zip(*group))
+            z = np.exp(1j * (np.reshape(thetas, (-1, 1)) + phis))
+            w, Y = np.linalg.eigh(_hermitian_rot(Cs, z))
+            y = Y[..., -1]
+            p = np.exp(1j * phis) * np.einsum("tki,kij,tkj->tk", y.conj(), Cs, y)
+            self._add(p.ravel(), np.tile(phis, len(p)), np.tile(hs, len(p)))
+            best = np.maximum(best, w[..., -1].max(axis=1))
+        return best
+
+    def settle(self, theta: float | None = None) -> tuple[float, float]:
+        """(sigma(theta), theta), or (min sigma, its theta) for theta None.
+
+        Each round samples 32 times finer every block around theta, and the
+        angles around each contact (at most 8): a point whose unsampled
+        neighbourhood, within curv h^2, may reach past the value."""
+        fixed = theta
+        window = np.arange(-(self.ring // 32), self.ring // 32 + 1) * (_TWO_PI / self.ring)
+        for r in range(1, 9):
+            if fixed is None:
+                self.pts = self.pts[_hull(self.pts["p"])]  # inner points never touch it
+                theta = -cmath.phase(_min_support(self.pts["p"])) % _TWO_PI
+            vals = (self.pts["p"] * cmath.exp(1j * theta)).real
+            value = float(vals.max())
+            tiny = 1e-10 * np.abs(self.pts["p"]).max()
+            reach = self.curv * self.pts["h"] ** 2
+            near = np.flatnonzero((vals >= value - reach) & (reach > tiny))
+            grew = self._blocks_at(theta + window / 32**r)[self.ring // 32] > value + tiny
+            if near.size == 0 and not grew:
+                break
+            near = near[np.argsort(-vals[near])[:8]]
+            h = self.pts["h"][near] / 32
+            self.pts["h"][near] = h
+            for hh in np.unique(h).tolist():
+                at = self.pts["phi"][near][h == hh]
+                phis = np.unique(np.rint(at / hh)[:, None] + np.arange(-32, 33)) * hh
+                self._arc(phis, hh, self.tie)
+        return value, theta
 
 
 _INF_CACHE = _LRU(512)
 
 
 def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
-    """Minimum of the derivative over all direction angles.
+    """Minimum of the derivative over all direction angles, and its angle,
+    from the exact support function of T's active set (`_ActiveSet`).
 
-    Locates candidate minimizing angles with the active-support model,
-    refines them, then grounds the reported value in the difference
-    quotients at the winning angle. A quotient probe at an unrelated
-    angle guards the model; on disagreement the minimization falls back
-    to difference quotients alone.
-    """
+    Quotient limits at the angle and 2 rad away must agree with it within
+    max(1e-5 max(1, omega(T) omega(S)), 200 tol); there is no fallback, a
+    disagreement raises ConvergenceError with both numbers."""
     T, S = _pair(T, S)
     tol = float(tol)
     if not (tol > 0.0):
@@ -476,64 +523,16 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
         return result
     ld = pT.omega * pS.omega  # Lipschitz bound for D over theta
     guard = max(1e-5 * max(1.0, ld), 200.0 * tol)
-
-    model = _active_model(T, S)
-    thetas = pT.thetas
-    h = _TWO_PI / thetas.size
-    vals = _model_vals(model, thetas)
-    vmin = float(vals.min())
-    keep = 2.0 * ld * h + 1e-12 * max(1.0, ld)
-    groups = numrange._cyclic_local_max_groups(-vals)
-
-    def neg_ref(x: float) -> float:
-        return -_model_refined(model, T, S, x)
-
-    best_th, best_v = 0.0, math.inf
-    for s, e in groups:
-        node = int(np.arange(s, e + 1)[0])  # group values are equal; take first
-        if float(vals[node % thetas.size]) > vmin + keep:
-            continue
-        a = (s - 1) * h
-        b = (e + 1) * h
-        x0 = node * h
-        x, fx = numrange._golden_max(neg_ref, a, b, 1e-7, (x0, neg_ref(x0)))
-        v = -fx
-        if v < best_v - 1e-12 * max(1.0, ld) or (
-            abs(v - best_v) <= 1e-12 * max(1.0, ld) and x % _TWO_PI < best_th
-        ):
-            best_v, best_th = v, x % _TWO_PI
-
-    dq = _quotient_limit(T, S, best_th, tol)
-    sp_th = (best_th + 2.0) % _TWO_PI
-    dsp = _quotient_limit(T, S, sp_th, tol)
-    model_ok = (
-        abs(dq.value - best_v) <= guard
-        and dsp.value >= best_v - guard
-        and abs(dsp.value - _model_refined(model, T, S, sp_th)) <= guard
-    )
-    if model_ok:
-        value, worst = dq.value, best_th
-        final = dq
-    else:
-        # model distrusted: minimize the quotient limit directly
-        coarse_tol = max(tol, 1e-6)
-        sub = thetas[::16]
-        qv = [_quotient_limit(T, S, float(t), coarse_tol).value for t in sub]
-        k = int(np.argmin(qv))
-        span = _TWO_PI / sub.size
-
-        def neg_q(x: float) -> float:
-            return -_quotient_limit(T, S, x, coarse_tol).value
-
-        x, _ = numrange._golden_max(
-            neg_q,
-            float(sub[k]) - span,
-            float(sub[k]) + span,
-            1e-5,
-            (float(sub[k]), -qv[k]),
-        )
-        final = _quotient_limit(T, S, x, tol)
-        value, worst = final.value, x % _TWO_PI
+    active = _ActiveSet(T, S)
+    low, worst = active.settle()
+    off = (worst + 2.0) % _TWO_PI
+    final = _quotient_limit(T, S, worst, tol)
+    for dq, model in ((final, low), (_quotient_limit(T, S, off, tol), active.settle(off)[0])):
+        if abs(dq.value - pT.omega * model) > guard:
+            raise ConvergenceError(
+                f"at theta = {dq.theta!r} the quotient limit {dq.value!r} and the "
+                f"active-set support {pT.omega * model!r} disagree by more than {guard!r}"
+            )
     if not final.converged:
         tr = final.quotient_trace
         wobble = abs(tr[-1][1] - tr[-2][1]) if len(tr) >= 2 else math.inf
@@ -541,7 +540,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
             raise ConvergenceError(
                 "difference quotients failed to stabilize at the minimizing angle"
             )
-    result = (float(value), float(worst))
+    result = (pT.omega * low, float(worst))
     _INF_CACHE.put(key, result)
     return result
 

@@ -576,5 +576,12 @@ def test_claim_table_and_budget():
         assert ok_all
         pytest.skip("property suites did not all run in this session; budget not measured")
     total = sum(_DURATIONS.values()) + dt
-    ok_all &= _check(total < 60.0, f"claim table + property suites took {total:.1f}s (budget 60s)")
+    # each suite's share, slowest first, so a failing budget names its cause
+    split = ", ".join(
+        f"{name} {sec:.1f}s" for name, sec in sorted(_DURATIONS.items(), key=lambda kv: -kv[1])
+    )
+    ok_all &= _check(
+        total < 60.0,
+        f"claim table + property suites took {total:.1f}s (budget 60s): {split}",
+    )
     assert ok_all

@@ -91,6 +91,13 @@ def test_hermitian_part_quadratic_form_identity():
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_part_rejects_non_finite_theta(theta, n):
+    with pytest.raises(ValueError):
+        hermitian_part(_cmat(n), theta)
+
+
 def test_hermitian_part_antipodal_angles_negate():
     A = _cmat(3)
     H0 = hermitian_part(A, 0.9)

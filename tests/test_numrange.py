@@ -380,24 +380,46 @@ def test_lockstep_golden_matches_scalar_search_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_square_zero_profile_peaks_match_scalar_refinement(n):
-    # W(T) is a disk: the flat 1024-angle sweep has hundreds of local
-    # maxima, which the profile refines in lockstep for n >= 3
-    T = linalg.as_matrix(oracle.generators(515).nilpotent_rank_one(n))
+def test_profile_peaks_match_scalar_refinement(n):
+    # a generic T and a normal T with n unit-modulus eigenvalues (n peaks,
+    # refined in lockstep for n >= 3): every kept grid peak is refined
+    # exactly as a scalar golden search refines it
+    gen = oracle.generators(515)
+    U = gen.unitary(n)
+    phases = np.exp(1j * np.array([0.3, 2.5, 4.4][:n]))
+    for T in (gen.matrix(n), U @ np.diag(phases) @ U.conj().T):
+        T = linalg.as_matrix(T)
+        p = _profile(T)
+        lo, hi = _sweep_extremes(T, 1024)
+        h = 2.0 * math.pi / 1024
+        keep = float(hi.max()) - 2.0 * p.lip * h
+        f = _lammax_fn(T)
+        ref = []
+        for s, e in _cyclic_local_max_groups(hi):
+            gv = float(hi[s % 1024])
+            if gv >= keep:
+                seed = (0.5 * (s + e) * h, gv)
+                x, v = _golden_max(f, (s - 1) * h, (e + 1) * h, 1e-10 / p.lip, seed)
+                ref.append((x % (2.0 * math.pi), v))
+        assert p.peaks == sorted(ref)
+    assert len(ref) == n
+
+
+@pytest.mark.parametrize("base", ["square-zero-2", "square-zero-3", "square-zero-4", "J+J"])
+def test_flat_sweep_is_one_grid_peak(base):
+    # W(T) is a disk centred at 0: the 1024-angle sweep is flat up to
+    # rounding, and its hundreds of local maxima are noise, not peaks
+    if base == "J+J":
+        T = np.kron(np.eye(2), np.array([[0, 1], [0, 0]]))
+    else:
+        T = oracle.generators(515).nilpotent_rank_one(int(base[-1]))
+    T = linalg.as_matrix(T)
     p = _profile(T)
-    lo, hi = _sweep_extremes(T, 1024)
-    h = 2.0 * math.pi / 1024
-    keep = float(hi.max()) - 2.0 * p.lip * h
-    f = _lammax_fn(T)
-    ref = []
-    for s, e in _cyclic_local_max_groups(hi):
-        gv = float(hi[s % 1024])
-        if gv >= keep:
-            seed = (0.5 * (s + e) * h, gv)
-            x, v = _golden_max(f, (s - 1) * h, (e + 1) * h, 1e-10 / p.lip, seed)
-            ref.append((x % (2.0 * math.pi), v))
-    assert len(ref) > 100
-    assert p.peaks == sorted(ref)
+    norm = linalg.spectral_norm(T)
+    assert len(p.peaks) == 1
+    assert p.peaks[0][0] in p.thetas
+    assert abs(p.omega - 0.5 * norm) <= 1e-15 * norm
+    assert len(_cyclic_local_max_groups(p.hi)) > 1
 
 
 def test_run_finder_merges_the_wrap_and_finds_local_maxima():
