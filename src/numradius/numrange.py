@@ -575,9 +575,12 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
 def radius_enclosure(T, grid: int) -> tuple[float, float]:
     """Certified interval containing omega(T) from a pure grid sweep.
 
-    lower is the grid maximum of lambda_max(H_theta); upper adds the
-    unconditional Lipschitz slack ||T|| * pi / grid (the farthest any
-    angle can sit from the grid is pi/grid). No unimodality assumption.
+    lower is the grid maximum of lambda_max(H_theta). If p in W(T) has
+    |p| = omega(T), then lambda_max(H_theta) >= omega(T) cos(theta + arg p),
+    and some grid angle lies within pi/grid of -arg p, so
+    omega(T) <= lower / cos(pi/grid). upper adds an allowance of
+    4 n eps ||T||_F for the rounding of the sweep. No unimodality
+    assumption.
     """
     grid = int(grid)
     if grid < 8:
@@ -587,5 +590,6 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
         return (0.0, 0.0)
     _, hi = _sweep_extremes(T, grid)
     lower = float(hi.max())
-    upper = lower + _eig.spectral_norm_fast(T) * math.pi / grid
+    rounding = 4.0 * T.shape[0] * np.finfo(float).eps * float(np.linalg.norm(T))
+    upper = lower / math.cos(math.pi / grid) + rounding
     return (lower, upper)

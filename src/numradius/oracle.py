@@ -7,9 +7,17 @@ orthogonality scan from a plain polar grid over the perturbation
 parameter with a fixed-resolution support sweep, and the Hermitian
 eigensolver is a pure-Python cyclic Jacobi iteration that calls no
 LAPACK. These are the oracles that the fast paths are validated
-against, so they deliberately stay simple. The one economy is the
-scan's sweep: H_{phi+pi} = -H_phi, so it solves only the angles
-below pi and takes the rest from lambda_min, with code of its own.
+against, so they deliberately stay simple. The scan has two economies,
+both with code of its own and neither changing a bit of its result:
+
+- its sweep uses H_{phi+pi} = -H_phi, so it solves only the angles
+  below pi and takes the rest from lambda_min;
+- it prunes lambda with the secant bound. If p in W(M) has
+  |p| = omega(M), then lambda_max(H_phi) >= omega(M) cos(phi + arg p),
+  and every angle lies within pi/m of one of m equispaced angles, so
+  omega(M) <= sec(pi/m) max_k lambda_max(H_{2 pi k/m}). A coarse sweep
+  over every 32nd scan angle brackets each radius; only the lambda
+  whose bracket can still hold the minimum margin get the full sweep.
 
 Randomness: every generator draws from numpy's PCG64 (the 64-bit
 permuted-congruential generator, fully specified and stable across
@@ -197,6 +205,10 @@ def ellipse_radius_2x2(T) -> float:
 
 
 _SCAN_GRID = 1024
+# the pruning sweep solves every _PRUNE_STEP-th scan angle, a subset of
+# the full sweep's angles, so its maximum is an exact lower bound
+_PRUNE_STEP = 32
+_PRUNE_COS = math.cos(math.pi * _PRUNE_STEP / _SCAN_GRID)
 # bytes of one batched H stack; bounds the scan's working set
 _STACK_BYTES = 1 << 19
 
@@ -207,7 +219,8 @@ def _grid_omega(Ms: np.ndarray, phis: np.ndarray) -> np.ndarray:
     ``phis`` is the first half of an even angle grid. H_{phi+pi} is
     -H_phi, so lambda_max at phi + pi is -lambda_min at phi, and the
     maximum over the whole grid is max(lambda_max, -lambda_min) over
-    the half: only the half is solved.
+    the half: only the half is solved. Since lambda_min <= lambda_max,
+    the result is never negative, rounding included.
     """
     E = np.exp(1j * phis)[None, :, None, None] * Ms[:, None, :, :]
     H = 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
@@ -224,6 +237,17 @@ def _grid_omega(Ms: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.maximum(hi, -lo).max(axis=1)
 
 
+def _scan_omegas(T: np.ndarray, S: np.ndarray, lams: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """``_grid_omega`` of every T + lambda S, in stacks of bounded size."""
+    per_call = max(1, _STACK_BYTES // (phis.size * T.nbytes))
+    return np.concatenate(
+        [
+            _grid_omega(T[None] + chunk[:, None, None] * S[None], phis)
+            for chunk in np.split(lams, range(per_call, lams.size, per_call))
+        ]
+    )
+
+
 def direct_lambda_scan(
     T, S, epsilon: float, grid_r: int = 32, grid_theta: int = 64
 ) -> tuple[float, complex]:
@@ -235,17 +259,30 @@ def direct_lambda_scan(
     lambda_max(H_phi) over a plain 1024-angle grid of phi. The sweep
     solves only phi < pi and reads phi + pi off lambda_min, since
     H_{phi+pi} = -H_phi; it shares no code with ``numrange``.
+
+    Only the lambda that can still hold the minimum get that sweep. A
+    sweep over every 32nd of its angles gives each radius an exact
+    lower bound lo and, by the secant bound (module docstring), an upper
+    bound lo / cos(pi/32) plus a rounding allowance. F is the same
+    floating expression for every bound and nondecreasing in the radius,
+    so a lambda whose lower F exceeds the least upper F is neither the
+    minimum nor tied with it: the result is bit for bit that of the
+    full scan.
+
     Returns (min margin, argmin lambda), the first minimum in order of
     radius, then angle. A negative margin witnesses a violation of the
-    orthogonality inequality at that lambda.
+    orthogonality inequality at that lambda. Raises ValueError unless
+    epsilon is finite and in [0, 1).
     """
     grid_r = int(grid_r)
     grid_theta = int(grid_theta)
     if grid_r < 16 or grid_theta < 16:
         raise ValueError("grids must be at least 16")
+    eps = float(epsilon)
+    if not (math.isfinite(eps) and 0.0 <= eps < 1.0):
+        raise ValueError("epsilon must lie in [0, 1)")
     T = as_matrix(T)
     S = as_matrix(S)
-    eps = float(epsilon)
     phis = np.arange(_SCAN_GRID // 2) * (_TWO_PI / _SCAN_GRID)
     wT, wS = (float(w) for w in _grid_omega(np.stack((T, S)), phis))
     if wS == 0.0:
@@ -254,16 +291,16 @@ def direct_lambda_scan(
     rs = np.repeat([r_hi * i / grid_r for i in range(1, grid_r + 1)], grid_theta)
     units = [cmath.exp(1j * _TWO_PI * j / grid_theta) for j in range(grid_theta)]
     lams = rs * np.tile(units, grid_r)
-    per_call = max(1, _STACK_BYTES // (phis.size * T.nbytes))
-    w = np.concatenate(
-        [
-            _grid_omega(T[None] + chunk[:, None, None] * S[None], phis)
-            for chunk in np.split(lams, range(per_call, lams.size, per_call))
-        ]
-    )
-    margins = w * w - wT * wT + 2.0 * eps * rs * wT * wS
+
+    def margin(w, r):
+        return w * w - wT * wT + 2.0 * eps * r * wT * wS
+
+    lo = _scan_omegas(T, S, lams, phis[::_PRUNE_STEP])
+    slack = 1e-12 * (np.linalg.norm(T) + rs * np.linalg.norm(S))
+    keep = np.flatnonzero(margin(lo, rs) <= margin(lo / _PRUNE_COS + slack, rs).min())
+    margins = margin(_scan_omegas(T, S, lams[keep], phis), rs[keep])
     k = int(np.argmin(margins))
-    return float(margins[k]), complex(lams[k])
+    return float(margins[k]), complex(lams[keep[k]])
 
 
 class InstanceGenerator:

@@ -277,6 +277,13 @@ def test_bad_epsilon_exits_2(capsys):
     assert main(["ortho", "--t", "[1,0;0,1]", "--s", "[1,0;0,0]", "--eps", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.1", "1.0"])
+def test_oracle_scan_bad_epsilon_exits_2(eps, capsys):
+    argv = ["oracle-scan", "--t", "[1,0;0,0]", "--s", "[0,1;0,0]", f"--eps={eps}"]
+    assert main(argv) == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["does-not-exist"]) == 2
 

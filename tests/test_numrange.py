@@ -293,6 +293,17 @@ def test_radius_enclosure_odd_grid():
     assert lo <= _omega(T) <= hi
 
 
+@pytest.mark.parametrize("grid", [8, 9, 64, 256])
+def test_radius_enclosure_tight_between_grid_angles(grid):
+    # W(T) is the point e^{i pi/grid}: its support is largest halfway
+    # between two grid angles, where lower / cos(pi/grid) is omega itself
+    # and only the rounding allowance keeps upper at or above it
+    for n in (1, 3):
+        lo, hi = radius_enclosure(cmath.exp(1j * math.pi / grid) * np.eye(n), grid)
+        assert lo / math.cos(math.pi / grid) == pytest.approx(1.0, abs=4e-16)
+        assert 1.0 <= hi <= 1.0 + 1e-13
+
+
 def test_boundary_point_on_ellipse_example():
     # [[0,1],[0,0]] support point at angle t lies on the circle |z| = 1/2
     for t in (0.0, 0.9, 2.2, 4.0):

@@ -209,6 +209,87 @@ def test_half_sweep_scan_matches_full_sweep_reference(n, grid):
         assert abs(lam - ref_lam) <= 1e-12 * abs(ref_lam)
 
 
+def _unpruned_grid_omega(Ms, phis):
+    E = np.exp(1j * phis)[None, :, None, None] * Ms[:, None, :, :]
+    H = 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
+    if Ms.shape[-1] == 2:
+        d0 = H[..., 0, 0].real
+        d1 = H[..., 1, 1].real
+        b = H[..., 0, 1]
+        mid = 0.5 * (d0 + d1)
+        rad = np.sqrt(0.25 * (d0 - d1) ** 2 + b.real**2 + b.imag**2)
+        hi, lo = mid + rad, mid - rad
+    else:
+        w = np.linalg.eigvalsh(H)
+        hi, lo = w[..., -1], w[..., 0]
+    return np.maximum(hi, -lo).max(axis=1)
+
+
+def _unpruned_scan(T, S, epsilons, grid_r, grid_theta):
+    """Reference scan without pruning: every lambda gets the 1024-angle sweep.
+
+    The floating operations of ``direct_lambda_scan``, with the radii
+    shared by all epsilons; returns one (margin, lambda) per epsilon.
+    """
+    phis = np.arange(1024 // 2) * (2.0 * math.pi / 1024)
+    wT, wS = (float(w) for w in _unpruned_grid_omega(np.stack((T, S)), phis))
+    r_hi = 2.0 * wT / wS if wT > 0.0 else 1.0
+    rs = np.repeat([r_hi * i / grid_r for i in range(1, grid_r + 1)], grid_theta)
+    units = [cmath.exp(1j * 2.0 * math.pi * j / grid_theta) for j in range(grid_theta)]
+    lams = rs * np.tile(units, grid_r)
+    per_call = max(1, (1 << 19) // (phis.size * T.nbytes))
+    w = np.concatenate(
+        [
+            _unpruned_grid_omega(T[None] + chunk[:, None, None] * S[None], phis)
+            for chunk in np.split(lams, range(per_call, lams.size, per_call))
+        ]
+    )
+    out = []
+    for eps in epsilons:
+        margins = w * w - wT * wT + 2.0 * eps * rs * wT * wS
+        k = int(np.argmin(margins))
+        out.append((float(margins[k]), complex(lams[k])))
+    return out
+
+
+def _pruning_cases():
+    gen = generators(7100)
+    for n in (1, 2, 3, 5):
+        T, S = gen.matrix(n), gen.matrix(n)
+        for grid in ((16, 16), (17, 19), (96, 32)):
+            yield pytest.param(T, S, grid, id=f"generic-n{n}-{grid[0]}x{grid[1]}")
+    S = gen.matrix(3)
+    half = cmath.exp(1j * math.pi / 32) * np.eye(3)
+    edges = {
+        # every lambda on the first ring gives omega = r_1 omega(S) up to rounding
+        "zero-T": (np.zeros((3, 3), dtype=complex), S),
+        # omega(T + lambda S) = 0 at lambda = -1
+        "S-equals-T": (S, S.copy()),
+        "hermitian-T": (gen.hermitian(3), gen.matrix(3)),
+        # the range of T + lambda S is one point, of argument pi/32 plus that
+        # of 1 + lambda: for real lambda it sits halfway between the pruning
+        # sweep's angles, where lo / cos(pi/32) is omega itself
+        "rotated-identity": (half, half.copy()),
+        "rotated-identity-generic-S": (half, gen.matrix(3)),
+    }
+    for name, (T, S) in edges.items():
+        for grid in ((16, 16), (17, 19)):
+            yield pytest.param(T, S, grid, id=f"{name}-{grid[0]}x{grid[1]}")
+
+
+@pytest.mark.parametrize("T, S, grid", list(_pruning_cases()))
+def test_pruned_scan_is_the_unpruned_scan_bit_for_bit(T, S, grid):
+    epsilons = (0.0, 0.5, 0.98)
+    for eps, ref in zip(epsilons, _unpruned_scan(T, S, epsilons, *grid)):
+        assert direct_lambda_scan(T, S, eps, *grid) == ref, eps
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1, 1.0, 3.0])
+def test_scan_rejects_epsilon_outside_unit_interval(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        direct_lambda_scan(T22, S22, eps, grid_r=16, grid_theta=32)
+
+
 def test_oracle_imports_nothing_it_checks():
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = set()
