@@ -179,10 +179,12 @@ def _radius_near(
     g = pT.grid
     h = _TWO_PI / g
     margin = 2.0 * r * gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, pT.omega)
-    mask = pT.hi >= pT.omega - margin
+    level = pT.omega - margin
+    hi = pT.sweep.above(level)
+    mask = hi >= level
     if int(mask.sum()) <= g // 8:
         runs = numrange._true_runs(mask)
-        peaks = [s + int(np.argmax(pT.hi[np.arange(s, e + 1) % g])) for s, e in runs]
+        peaks = [s + int(np.argmax(hi[np.arange(s, e + 1) % g])) for s, e in runs]
         owner = np.repeat(np.arange(K), len(runs))
         a = [(s - 1) * h for s, _ in runs] * K
         b = [(e + 1) * h for _, e in runs] * K
@@ -298,9 +300,7 @@ def omega_derivative(T, S, theta: float, tol: float = 1e-8) -> DerivativeResult:
     """
     T, S = _pair(T, S)
     theta = _validate_theta(theta)
-    tol = float(tol)
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    tol = numrange._validate_tol(tol)
     return _quotient_limit(T, S, theta, tol)
 
 
@@ -406,8 +406,9 @@ class _ActiveSet:
         self.blocks: dict[int, list[tuple]] = {}  # size: [(phi, C, spacing)]
         self.pts = np.empty(0, _POINT)
         gap = 1e-8 * max(1.0, pT.lip)
-        self._arc(np.array([phi for phi, v in pT.peaks if v >= self.floor]), 0.0, gap)
-        idx = np.flatnonzero(pT.hi >= self.floor)
+        peaks = pT.peaks_above(self.floor)
+        self._arc(np.array([phi for phi, v in peaks if v >= self.floor]), 0.0, gap)
+        idx = np.flatnonzero(pT.sweep.above(self.floor) >= self.floor)
         if idx.size >= 8:
             h = _TWO_PI / pT.grid
             phis = np.unique(idx % (pT.grid // 2)) * h
@@ -508,9 +509,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     max(1e-5 max(1, omega(T) omega(S)), 200 tol); there is no fallback, a
     disagreement raises ConvergenceError with both numbers."""
     T, S = _pair(T, S)
-    tol = float(tol)
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    tol = numrange._validate_tol(tol)
     key = (T.tobytes(), S.tobytes(), tol, T.shape[0])
     hit = _INF_CACHE.get(key)
     if hit is not None:

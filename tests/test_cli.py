@@ -318,6 +318,20 @@ def test_zero_tolerance_exits_2(capsys, argv):
     assert main(argv + ["--tol", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "--t", "[1,1;0,-1]"],
+        ["crawford", "--t", "[1,1;0,-1]"],
+        ["deriv", "--t", "[1,1;0,-1]", "--s", "[1,0;0,1]"],
+        ["inf-deriv", "--t", "[1,1;0,-1]", "--s", "[1,0;0,1]"],
+    ],
+)
+def test_infinite_tolerance_exits_2(capsys, argv):
+    assert main(argv + ["--tol", "inf"]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
 # --- installed entry point ---------------------------------------------------------
 
 

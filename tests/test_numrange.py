@@ -441,3 +441,255 @@ def test_run_finder_merges_the_wrap_and_finds_local_maxima():
     vals = np.array([3.0, 1.0, 2.0, 2.0, 0.0, 3.0])
     assert _cyclic_local_max_groups(vals) == [(-1, 0), (2, 3)]
     assert _cyclic_local_max_groups(np.ones(4)) == [(0, 3)]
+
+
+# --- the pruned sweep against the full one ------------------------------------
+#
+# `_full_profile`, `_full_crawford`, `_full_maximizers` and `_full_enclosure`
+# keep the whole-sweep code that solved every angle of the grid before the
+# sweep was pruned to the arcs a caller reads; every public output must
+# equal theirs bit for bit.
+
+
+def _full_profile(T, tol=1e-10):
+    grid = numrange.GRID_DEFAULT
+    thetas = np.arange(grid) * (2.0 * math.pi / grid)
+    lo, hi = _sweep_extremes(T, grid)
+    lip = numrange._eig.spectral_norm_fast(T)
+    h = 2.0 * math.pi / grid
+    omega_grid = float(hi.max())
+    keep = omega_grid - 2.0 * lip * h
+    width_target = tol / max(lip, 1e-300)
+    peaks, brackets = [], []
+    if omega_grid - float(hi.min()) <= numrange._FLAT * T.shape[0] * lip:
+        peaks.append((thetas[int(np.argmax(hi))], omega_grid))
+    else:
+        for s, e in _cyclic_local_max_groups(hi):
+            gv = float(hi[s % grid])
+            if gv >= keep:
+                brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))
+    if brackets:
+        a, b, seeds = zip(*brackets)
+        refined = _refine_peaks(T[None], [0] * len(a), a, b, width_target, seeds)
+        peaks.extend((xb % (2.0 * math.pi), fb) for xb, fb in refined)
+    if not peaks:
+        k = int(np.argmax(hi))
+        peaks = [(float(thetas[k]), omega_grid)]
+    peaks = sorted(peaks)
+    omega = max(v for _, v in peaks)
+    tie = 1e-12 * max(1.0, omega)
+    theta_star = min(th for th, v in peaks if v >= omega - tie)
+    width = min(width_target, h)
+    _, V = np.linalg.eigh(linalg._hermitian_rot(T, cmath.exp(1j * theta_star)))
+    maximizer = np.ascontiguousarray(V[:, -1])
+    return dict(lo=lo, hi=hi, lip=lip, omega=omega, theta_star=theta_star,
+                maximizer=maximizer, peaks=peaks, width=width, thetas=thetas)
+
+
+def _full_crawford(T, p, tol=1e-10):
+    h = 2.0 * math.pi / p["hi"].size
+    lo, lip = p["lo"], p["lip"]
+    best_grid = float(lo.max())
+    if best_grid + 2.0 * lip * h < 0.0:
+        return 0.0
+    keep = best_grid - 2.0 * lip * h
+    brackets = []
+    for s, e in _cyclic_local_max_groups(lo):
+        gv = float(lo[s % lo.size])
+        if gv >= keep and (e + 1) * h - (s - 1) * h < 2.0 * math.pi:
+            brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))
+    best = best_grid
+    if brackets:
+        a, b, seeds = zip(*brackets)
+        for _, fb in _refine_peaks((-T)[None], [0] * len(a), a, b, tol / max(lip, 1e-300),
+                                   seeds, negate=True):
+            best = max(best, fb)
+    return max(0.0, best)
+
+
+def _full_maximizers(T, p, tol):
+    cut = p["omega"] - tol
+    cand = [float(th) for th, v in p["peaks"] if v >= cut]
+    cand.extend(float(th) for th, v in zip(p["thetas"], p["hi"]) if v >= cut)
+    angles = []
+    for th in sorted(cand):
+        if not angles or th - angles[-1] >= 1e-7:
+            angles.append(th)
+    if len(angles) > 1 and angles[0] + 2.0 * math.pi - angles[-1] < 1e-7:
+        angles.pop()
+    pairs = []
+    for th in angles:
+        _, V = np.linalg.eigh(linalg._hermitian_rot(T, cmath.exp(1j * th)))
+        pairs.append((th % (2.0 * math.pi), np.ascontiguousarray(V[:, -1])))
+    return pairs
+
+
+def _full_enclosure(T, grid):
+    _, hi = _sweep_extremes(T, grid)
+    lower = float(hi.max())
+    rounding = 4.0 * T.shape[0] * np.finfo(float).eps * float(np.linalg.norm(T))
+    return (lower, lower / math.cos(math.pi / grid) + rounding)
+
+
+def _bitwise_cases():
+    gen = oracle.generators(8080)
+    cases = {f"generic-n{n}": gen.matrix(n) for n in (1, 2, 3, 5, 8, 16, 64)}
+    cases["hermitian-n4"] = gen.hermitian(4)
+    H = gen.hermitian(5)
+    cases["positive-n5"] = H @ H + 0.5 * np.eye(5)
+    U = gen.unitary(4)
+    cases["normal-tied-n4"] = U @ np.diag([1.0, 1j, -1.0, -1j]) @ U.conj().T
+    # the top of W(T) in the middle of the first arc, whose samples fall
+    # below a lower eigenvalue's on a sample angle: only the corner bound
+    # keeps the arc with the grid maximum
+    step = 2.0 * math.pi / 1024
+    lam = [cmath.exp(-16j * step), 0.997 * cmath.exp(-320j * step), 0.1]
+    V = gen.unitary(3)
+    cases["normal-two-peaks-n3"] = V @ np.diag(lam) @ V.conj().T
+    cases["square-zero-n3"] = gen.nilpotent_rank_one(3)
+    cases["square-zero-n6"] = gen.nilpotent_rank_one(6)
+    cases["rotated-identity-n3"] = cmath.exp(1j * math.pi / 1024) * np.eye(3)
+    cases["zero-n4"] = np.zeros((4, 4))
+    T = gen.matrix(6)
+    cases["scaled-1e-8-n6"] = 1e-8 * T
+    cases["scaled-1e8-n6"] = 1e8 * T
+    return cases
+
+
+_BITWISE = _bitwise_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_BITWISE))
+def test_pruned_sweep_is_the_full_sweep_bit_for_bit(case):
+    T = linalg.as_matrix(_BITWISE[case])
+    for grid in (8, 9, 17, 64, 256, 1024):
+        want = (0.0, 0.0) if not T.any() else _full_enclosure(T, grid)
+        assert radius_enclosure(T, grid) == want
+    if not T.any():
+        # the zero matrix keeps its fixed answers
+        res = numerical_radius(T)
+        assert (res.omega, res.theta_star, res.enclosure) == (0.0, 0.0, (0.0, 0.0))
+        assert res.maximizer.tolist() == [1.0] + [0.0] * (T.shape[0] - 1)
+        assert crawford_number(T) == 0.0
+        with pytest.raises(DegenerateMatrixError):
+            maximizers(T)
+        return
+    ref = _full_profile(T)
+    res = numerical_radius(T)
+    assert res.omega == ref["omega"]
+    assert res.theta_star == ref["theta_star"] % (2.0 * math.pi)
+    assert res.maximizer.tobytes() == ref["maximizer"].tobytes()
+    assert res.enclosure == (ref["omega"], ref["omega"] + ref["lip"] * ref["width"])
+    assert crawford_number(T) == _full_crawford(T, ref)
+    for tol in (1e-10, 1e-8, 1e-3):
+        got = maximizers(T, tol)
+        want = _full_maximizers(T, ref, tol)
+        assert got.omega == ref["omega"]
+        assert [th for th, _ in got] == [th for th, _ in want]
+        assert [v.tobytes() for _, v in got] == [v.tobytes() for _, v in want]
+    # read last: every peak within 2 ||T|| h of the grid maximum, refined
+    assert _profile(T).peaks == ref["peaks"]
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+def test_arc_bounds_cover_every_unsolved_value(grid):
+    # each arc's corner bound lies at or above every grid value on it, and
+    # the Lipschitz floor at or below; the tight cases put W(T) at one point
+    # whose support peaks on a grid angle inside an arc, where the corner is
+    # that peak itself and only the rounding allowance keeps it above
+    gen = oracle.generators(4141)
+    mats = [gen.matrix(n) for n in (3, 4, 8, 16)]
+    mats += [1e-8 * gen.matrix(5), 1e8 * gen.matrix(5), gen.hermitian(4)]
+    mats += [gen.nilpotent_rank_one(3)]
+    step = grid // numrange._ARCS
+    for k in range(1, step):
+        for n, c in ((3, 1.0), (4, 1e-8), (5, 3e8)):
+            mats.append(c * cmath.exp(-2j * math.pi * k / grid) * np.eye(n))
+    for T in mats:
+        T = linalg.as_matrix(T)
+        sweep = numrange._Sweep(T, grid)
+        lo, hi = _sweep_extremes(T, grid)
+        ends = sweep._ends
+        m = ends[-1]
+        for q, (s, t) in enumerate(zip(ends[:-1], ends[1:])):
+            inner = np.r_[np.arange(s + 1, t), np.arange(s + 1, t) + m]
+            assert hi[inner].max(initial=-math.inf) <= sweep.bound[q]
+        assert sweep.floor(linalg.spectral_norm(T)) <= hi.min()
+        assert np.array_equal(sweep.full()[1], hi)
+        assert np.array_equal(sweep.full()[0], lo)
+
+
+def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
+    # four threads read one cached profile at different levels while it is
+    # solved lazily: each must see the full sweep's values wherever they
+    # reach its level, and no array once handed out may change
+    T = linalg.as_matrix(oracle.generators(909).matrix(12))
+    lo_ref, hi_ref = _sweep_extremes(T, 1024)
+    omega = _full_profile(T)["omega"]
+    levels = [omega, omega - 1e-3, -math.inf, None]  # None: p.lo and p.hi
+    handed, errors, wrong = [], [], []
+
+    def work(i, p, barrier):
+        try:
+            barrier.wait(timeout=30)
+            level = levels[i]
+            if level is None:
+                got = [(p.lo, lo_ref), (p.hi, hi_ref)]
+            else:
+                hi = p.sweep.above(level)
+                keep = hi_ref >= level
+                if not (hi[~keep] < level).all():
+                    wrong.append(i)
+                got = [(hi[keep], hi_ref[keep])]
+            for a, ref in got:
+                if a.tobytes() != ref.tobytes():
+                    wrong.append(i)
+            handed.extend((a, a.copy()) for a in (p.sweep.hi, p.sweep.lo, p.hi))
+        except Exception as exc:
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+            p = _profile(T)
+            barrier = threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(i, p, barrier)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert wrong == []
+    for a, snapshot in handed:
+        assert not a.flags.writeable
+        assert a.tobytes() == snapshot.tobytes()
+    with pytest.raises(ValueError):
+        p.hi[0] = 0.0
+    with pytest.raises(ValueError):
+        p.lo[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [numerical_radius, crawford_number, maximizers],
+    ids=["numerical_radius", "crawford_number", "maximizers"],
+)
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8])
+def test_tolerance_must_be_positive_and_finite(call, tol):
+    with pytest.raises(ValueError, match="tol"):
+        call(np.eye(2), tol)
+
+
+def test_grid_and_count_must_be_integers():
+    T = oracle.generators(20).matrix(3)
+    with pytest.raises(TypeError):
+        radius_enclosure(T, 8.9)
+    with pytest.raises(TypeError):
+        boundary_points(T, 4.5)
+    assert radius_enclosure(T, np.int64(64)) == radius_enclosure(T, 64)
+    assert len(boundary_points(T, np.int32(5))) == 5

@@ -85,6 +85,14 @@ def test_omega_derivative_rejects_non_finite_theta(theta, n):
         omega_derivative(gen.matrix(n), gen.matrix(n), theta)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8])
+def test_derivative_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        omega_derivative(T24, S24, 0.5, tol)
+    with pytest.raises(ValueError, match="tol"):
+        inf_derivative(T24, S24, tol)
+
+
 # --- derivative anchors -------------------------------------------------------
 
 
