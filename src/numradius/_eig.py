@@ -70,11 +70,20 @@ def eigh_single(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm_fast(T: np.ndarray) -> float:
-    """Largest singular value, via the top eigenvalue of T*T."""
+    """Largest singular value, via the top eigenvalue of T*T.
+
+    T is first divided by the power of two s that brings its largest
+    entry into [0.5, 1), so that T*T neither underflows nor overflows;
+    the division is exact, so the result is the unscaled one wherever
+    that does not under- or overflow, and every nonzero T has a positive
+    norm."""
     n = T.shape[0]
-    G = T.conj().T @ T
+    # 2^-1000 at least: the power for a subnormal entry would overflow
+    s = 2.0 ** max(math.frexp(float(np.abs(T).max()))[1], -1000)
+    A = T / s
+    G = A.conj().T @ A
     if n == 2:
         lam = lammax_single(G)
     else:
         lam = float(np.linalg.eigvalsh(G)[-1])
-    return math.sqrt(max(lam, 0.0))
+    return s * math.sqrt(max(lam, 0.0))

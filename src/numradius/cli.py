@@ -573,16 +573,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
     p = sub.add_parser("radius", parents=[one, common], help="numerical radius, argmax angle, maximizer")
-    p.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
     p = sub.add_parser("crawford", parents=[one, common], help="distance from 0 to the numerical range")
-    p.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
     p = sub.add_parser("range", parents=[one, common], help="boundary points of the numerical range")
     p.add_argument("--samples", type=int, default=360, help="number of boundary points (>= 3)")
     p = sub.add_parser("deriv", parents=[two, common], help="one-sided derivative of omega^2 along a ray")
     p.add_argument("--theta", type=float, default=0.0, help="ray direction in radians")
-    p.add_argument("--tol", type=float, default=1e-8, help="quotient tolerance")
+    p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance, in the units of T times S")
     p = sub.add_parser("inf-deriv", parents=[two, common], help="worst-direction derivative over theta")
-    p.add_argument("--tol", type=float, default=1e-8, help="quotient tolerance")
+    p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance, in the units of T times S")
     p = sub.add_parser("ortho", parents=[two, common], help="approximate radius-orthogonality verdict")
     p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
     p.add_argument(

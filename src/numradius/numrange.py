@@ -554,9 +554,13 @@ def _cyclic_local_max_groups(vals: np.ndarray) -> list[tuple[int, int]]:
 _PROFILE_CACHE = _LRU(1024)
 
 
-def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Profile:
-    """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol)."""
-    key = (T.tobytes(), T.shape[0], int(grid), float(tol))
+def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10) -> _Profile:
+    """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol).
+
+    ``tol`` is the absolute golden tolerance on the radius; None refines
+    to 1e-10 ||T|| (a golden width of 1e-10 rad), so that the profile of
+    c T is that of T scaled by c, bit for bit when c is a power of two."""
+    key = (T.tobytes(), T.shape[0], int(grid), tol)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -582,7 +586,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
     else:
         p.lip = _eig.spectral_norm_fast(T)
         h = _TWO_PI / p.grid
-        p._golden = tol / max(p.lip, 1e-300)
+        p._golden = 1e-10 if tol is None else tol / p.lip
         p.width = min(p._golden, h)
         # the grid maximum is at least the samples' and the spread at least
         # theirs, so only a flat spread of samples needs the whole curve
@@ -604,7 +608,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
             p._cut = math.inf
             p._peaks = []
         p.omega = max(v for _, v in p.peaks_above(omega_grid))
-        tie = 1e-12 * max(1.0, p.omega)
+        tie = 1e-12 * p.omega
         p.theta_star = min(th for th, v in p.peaks_above(p.omega - tie) if v >= p.omega - tie)
         _, V = _eig.eigh_single(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
         p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
@@ -613,9 +617,9 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float = 1e-10) -> _Pr
     return p
 
 
-def _omega_of(T: np.ndarray, grid: int = GRID_DEFAULT) -> float:
-    """Internal shortcut: the radius of a canonical matrix."""
-    return _profile(T, grid).omega
+def _rel_profile(T: np.ndarray) -> _Profile:
+    """The scale-free profile (``tol=None``) that the derivatives read."""
+    return _profile(T, GRID_DEFAULT, None)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +700,8 @@ def crawford_number(T, tol: float = 1e-10) -> float:
     if brackets:
         # lambda_min(H_theta(T)) = -lambda_max(H_theta(-T))
         a, b, seeds = zip(*brackets)
-        width_target = tol / max(p.lip, 1e-300)
         for _, fb in _refine_peaks(
-            (-T)[None], [0] * len(a), a, b, width_target, seeds, negate=True
+            (-T)[None], [0] * len(a), a, b, p._golden, seeds, negate=True
         ):
             best = max(best, fb)
     return max(0.0, best)
@@ -740,7 +743,7 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
     T = as_matrix(T)
     if not T.any():
         raise DegenerateMatrixError("zero matrix: every unit vector is a maximizer")
-    p = _profile(T, GRID_DEFAULT)
+    p = _profile(T)
     cut = p.omega - tol
     cand = [float(th) for th, v in p.peaks_above(cut) if v >= cut]
     cand.extend(float(th) for th, v in zip(p.thetas, p.sweep.above(cut)) if v >= cut)

@@ -76,7 +76,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-#: absolute decision tolerance for the orthogonality verdicts
+#: relative decision tolerance of the orthogonality verdicts: a margin
+#: counts as a violation below -DECISION_TOL ||T|| ||S|| (derivative) or
+#: -DECISION_TOL ||T||^2 (direct scan, both gauges)
 DECISION_TOL = 1e-9
 
 
@@ -112,8 +114,9 @@ class OrthoReport:
     for the derivative method, inf-derivative minus threshold; for the
     direct method, the worst value of
     omega^2(T+lam S) - omega^2(T) + 2 eps |lam| omega(T) omega(S)
-    over the lam plane. Negative beyond the decision tolerance means
-    not orthogonal.
+    over the lam plane. Below -DECISION_TOL ||T|| ||S|| (derivative) or
+    -DECISION_TOL ||T||^2 (direct) means not orthogonal; the margin
+    scales as omega(T) omega(S), resp. omega(T)^2, with T and S.
     """
 
     orthogonal: bool
@@ -154,8 +157,8 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     r = float(r)
     if not (r > 0.0) or not math.isfinite(r):
         raise ValueError("step r must be positive and finite")
-    w0 = numrange._omega_of(T)
-    wr = numrange._omega_of(T + (r * cmath.exp(1j * theta)) * S)
+    w0 = numrange._rel_profile(T).omega
+    wr = numrange._rel_profile(T + (r * cmath.exp(1j * theta)) * S).omega
     return (wr * wr - w0 * w0) / (2.0 * r)
 
 
@@ -178,7 +181,7 @@ def _radius_near(
     K = Ms.shape[0]
     g = pT.grid
     h = _TWO_PI / g
-    margin = 2.0 * r * gS + 0.5 * pT.lip * h + 1e-12 * max(1.0, pT.omega)
+    margin = 2.0 * r * gS + 0.5 * pT.lip * h + 1e-12 * pT.omega
     level = pT.omega - margin
     hi = pT.sweep.above(level)
     mask = hi >= level
@@ -194,11 +197,10 @@ def _radius_near(
     else:
         his = numrange._sweep_extremes(Ms, 256)[1]
         h = _TWO_PI / 256
-        lbar = max(pT.lip + r * lipS, 1e-300)
         best = his.max(axis=1)
         owner, a, b, seeds = [], [], [], []
         for k, hi in enumerate(his):
-            cut = float(best[k]) - lbar * h
+            cut = float(best[k]) - (pT.lip + r * lipS) * h
             for s, e in numrange._cyclic_local_max_groups(hi):
                 gv = float(hi[s % hi.size])
                 if gv >= cut:
@@ -222,19 +224,16 @@ def _quotient_limit(
     settle within tol, and the schedule jumps there instead of halving
     all the way.
     """
-    pT = numrange._profile(T)
-    pS = numrange._profile(S)
+    pT = numrange._rel_profile(T)
+    pS = numrange._rel_profile(S)
     wT, wS = pT.omega, pS.omega
+    if wT == 0.0 or wS == 0.0:
+        return DerivativeResult(0.0, float(theta), (), True)
     w2 = wT * wT
-    if wT > 0.0:
-        r0 = min(1.0, wT / (1.0 + wS))
-    else:
-        r0 = min(1.0, 1.0 / (1.0 + wS))
-    if wS == 0.0:
-        return DerivativeResult(0.0, float(theta), ((r0, 0.0),), True)
+    r0 = 0.5 * wT / wS
     U = cmath.exp(1j * theta) * S
     h = _TWO_PI / pT.grid
-    scale = max(1.0, wT + r0 * wS)
+    scale = pT.lip + r0 * pS.lip
 
     def omega_at(r: float) -> float:
         width = min(h, max(math.sqrt(max(r * tol, 0.0)) / (2.5 * scale), 1e-14))
@@ -322,7 +321,7 @@ def derivative_via_maximizers(T, S, theta: float) -> float:
     """
     T, S = _pair(T, S)
     theta = _validate_theta(theta)
-    wT = numrange._omega_of(T)
+    wT = numrange._rel_profile(T).omega
     return wT * _ActiveSet(T, S).settle(theta)[0] if wT > 0.0 else 0.0
 
 
@@ -394,18 +393,18 @@ class _ActiveSet:
     any active angle between them."""
 
     def __init__(self, T: np.ndarray, S: np.ndarray):
-        pT = numrange._profile(T)
+        pT = numrange._rel_profile(T)
         self.T, self.S = T, S
-        self.floor = pT.omega - 1e-9 * max(1.0, pT.lip)  # lambda_max of an active angle
+        self.floor = pT.omega - 1e-9 * pT.lip  # lambda_max of an active angle
         # a curve sampled at spacing h stays within curv h^2 of its samples
         # (the arcs of square-zero bases bend by at most 2.1 ||S|| per rad^2)
-        self.curv = numrange._profile(S).lip
+        self.curv = numrange._rel_profile(S).lip
         # on an arc, eigenvalues share a top eigenspace only if they tie to
         # rounding, or a block active at one angle would turn with the arc
         self.tie = numrange._FLAT * pT.n * pT.lip
         self.blocks: dict[int, list[tuple]] = {}  # size: [(phi, C, spacing)]
         self.pts = np.empty(0, _POINT)
-        gap = 1e-8 * max(1.0, pT.lip)
+        gap = 1e-8 * pT.lip
         peaks = pT.peaks_above(self.floor)
         self._arc(np.array([phi for phi, v in peaks if v >= self.floor]), 0.0, gap)
         idx = np.flatnonzero(pT.sweep.above(self.floor) >= self.floor)
@@ -505,23 +504,24 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     """Minimum of the derivative over all direction angles, and its angle,
     from the exact support function of T's active set (`_ActiveSet`).
 
-    Quotient limits at the angle and 2 rad away must agree with it within
-    max(1e-5 max(1, omega(T) omega(S)), 200 tol); there is no fallback, a
-    disagreement raises ConvergenceError with both numbers."""
+    Quotient limits at the angle and 2 rad away, to the absolute tolerance
+    ``tol`` of `omega_derivative`, must agree with it within
+    max(1e-5 ||T|| ||S||, 200 tol); there is no fallback, a disagreement
+    raises ConvergenceError with both numbers."""
     T, S = _pair(T, S)
     tol = numrange._validate_tol(tol)
     key = (T.tobytes(), S.tobytes(), tol, T.shape[0])
     hit = _INF_CACHE.get(key)
     if hit is not None:
         return hit
-    pT = numrange._profile(T)
-    pS = numrange._profile(S)
+    pT = numrange._rel_profile(T)
+    pS = numrange._rel_profile(S)
     if pT.omega == 0.0 or pS.omega == 0.0:
         result = (0.0, 0.0)
         _INF_CACHE.put(key, result)
         return result
-    ld = pT.omega * pS.omega  # Lipschitz bound for D over theta
-    guard = max(1e-5 * max(1.0, ld), 200.0 * tol)
+    ld = pT.lip * pS.lip  # the unit of D
+    guard = max(1e-5 * ld, 200.0 * tol)
     active = _ActiveSet(T, S)
     low, worst = active.settle()
     off = (worst + 2.0) % _TWO_PI
@@ -535,7 +535,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     if not final.converged:
         tr = final.quotient_trace
         wobble = abs(tr[-1][1] - tr[-2][1]) if len(tr) >= 2 else math.inf
-        if wobble > 1e-4 * max(1.0, ld):
+        if wobble > 1e-4 * ld:
             raise ConvergenceError(
                 "difference quotients failed to stabilize at the minimizing angle"
             )
@@ -551,11 +551,12 @@ def min_epsilon(T, S) -> float:
     the radius entirely).
     """
     T, S = _pair(T, S)
-    wT = numrange._omega_of(T)
-    wS = numrange._omega_of(S)
+    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
+    wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
         return 0.0
-    value, _ = inf_derivative(T, S)
+    unit = pT.lip * pS.lip  # as in is_omega_orthogonal: one cache entry
+    value, _ = inf_derivative(T, S, 1e-8 * unit)
     return float(min(1.0, max(0.0, -value / (wT * wS))))
 
 
@@ -606,13 +607,14 @@ class _Gauge:
         self.T = T
         self.S = S
         if kind == "omega":
-            self.profT = numrange._profile(T)
-            profS = numrange._profile(S)
+            self.profT = numrange._rel_profile(T)
+            profS = numrange._rel_profile(S)
             self.gT = self.profT.omega
             self.gS = profS.omega
             self.lipS = profS.lip
+            self.norm = self.profT.lip
         else:
-            self.gT = _eig.spectral_norm_fast(T)
+            self.gT = self.norm = _eig.spectral_norm_fast(T)
             self.gS = _eig.spectral_norm_fast(S)
 
     def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
@@ -635,39 +637,33 @@ class _Gauge:
 
 def _scan_minimum(
     T: np.ndarray, S: np.ndarray, eps: float, kind: str
-) -> tuple[float, complex, float]:
-    """Minimum orthogonality margin over the lam plane, with argmin.
+) -> tuple[bool, float, float]:
+    """Minimum orthogonality margin over the lam plane.
 
-    Returns (margin, lam, theta): the worst accurately evaluated value
-    of F, a point attaining it, and its direction angle. The verdict
-    quantity is margin >= -DECISION_TOL; the certificates described in
-    the section comment guarantee no deeper violation hides between
-    the evaluated points (up to the stated caps).
+    Returns (verdict, margin, theta): margin is the worst accurately
+    evaluated value of F, theta the direction angle of a point attaining
+    it, and the verdict is margin >= -tau, tau = DECISION_TOL ||T||^2.
+    The certificates described in the section comment guarantee no
+    deeper violation hides between the evaluated points (up to the
+    stated caps).
     """
     gauge = _Gauge(T, S, kind)
     gT, gS = gauge.gT, gauge.gS
-    tau = DECISION_TOL
+    tau = DECISION_TOL * gauge.norm**2
     prod = gT * gS
-    if 8.0 * gT * gT <= tau:
-        # reverse triangle: F >= -2 r gT gS >= -4 gT^2 >= -tau/2 everywhere
-        return 0.0, 0j, 0.0
     off = 2.0 * eps * prod
     r_max = 2.0 * gT / gS * (1.0 + 1e-9)
     tau_m = tau / (2.0 * r_max)
-    rbar = math.sqrt(tau) / (4.0 * gS)
-    rbar = min(max(rbar, 1e-9 * gT / gS), 0.25 * r_max)
+    rbar = math.sqrt(tau) / (4.0 * gS)  # at most 0.25 r_max, as gT >= ||T|| / 2
     r_lo = tau / (4.0 * prod)
     L_q = (gT + 2.0 * rbar * gS) * gS * (1.0 + 1e-9)
 
-    best = [math.inf, 0.0, rbar]  # value, theta, r
-
-    def note(v: float, th: float, r: float):
-        if v < best[0]:
-            best[0], best[1], best[2] = v, th, r
+    best = [math.inf, 0.0]  # value, theta
 
     def F(th: float, r: float, g2: float) -> float:
         v = g2 - gT * gT + off * r
-        note(v, th, r)
+        if v < best[0]:
+            best[0], best[1] = v, th
         return v
 
     nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
@@ -684,7 +680,7 @@ def _scan_minimum(
     tern_done: set[float] = set()
     tern_count = [0]
 
-    def lane_ternary(th: float):
+    def lane_ternary(th: float) -> float | None:
         """Accurate convex minimization of F over [r_lo, r_max] at theta."""
         if th in tern_done or tern_count[0] >= 40:
             return None
@@ -706,17 +702,14 @@ def _scan_minimum(
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
             f1, f2 = f(m1), f(m2)
-            low = min(f1, f2)
-            if low < -2.0 * tau:
+            if min(f1, f2) < -2.0 * tau:
                 # a violation is confirmed; its exact depth is not needed
-                rm = m1 if f1 <= f2 else m2
-                return low, rm
+                return min(f1, f2)
             if f1 <= f2:
                 b = m2
             else:
                 a = m1
-        rm = 0.5 * (a + b)
-        return f(rm), rm
+        return f(0.5 * (a + b))
 
     def candidate(th: float) -> bool:
         mt, bb = nodes[th]
@@ -728,9 +721,8 @@ def _scan_minimum(
         if not candidate(th):
             break
         got = lane_ternary(th)
-        if got is not None and got[0] < -tau:
-            v, rm = got
-            return v, rm * cmath.exp(1j * th), th
+        if got is not None and got < -tau:
+            return False, got, th
 
     gaps: list[tuple[float, float, int]] = [
         (base[j], base[j + 1] if j + 1 < 64 else _TWO_PI, 0) for j in range(64)
@@ -753,14 +745,13 @@ def _scan_minimum(
         eval_nodes([m])
         if candidate(m):
             got = lane_ternary(m)
-            if got is not None and got[0] < -tau:
-                v, rm = got
-                return v, rm * cmath.exp(1j * m), m
+            if got is not None and got < -tau:
+                return False, got, m
         gaps.append((a, m, d + 1))
         gaps.append((m, b, d + 1))
 
-    v, th, r = best
-    return v, r * cmath.exp(1j * th), th
+    v, th = best
+    return v >= -tau, v, th
 
 
 
@@ -780,31 +771,31 @@ def is_omega_orthogonal(
     -eps omega(T) omega(S); method="direct" minimizes the margin of the
     defining inequality over the whole perturbation plane (per-ray
     convex minimization, certified pruning between rays). Decisions use
-    an absolute tolerance of 1e-9, so verdicts within that band of the
-    exact boundary may go either way.
+    the tolerance DECISION_TOL in the units of each margin (see
+    `OrthoReport`), so verdicts within that band of the exact boundary may
+    go either way, and a verdict does not change when T and S are
+    multiplied by positive reals.
     """
     eps = _validate_eps(epsilon)
     if method not in ("derivative", "direct"):
         raise ValueError("method must be 'derivative' or 'direct'")
     T, S = _pair(T, S)
-    wT = numrange._omega_of(T)
-    wS = numrange._omega_of(S)
+    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
+    wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
         return OrthoReport(True, eps, 0.0, 0.0, 0.0, 0.0, method, 0.0)
     threshold = -eps * wT * wS
-    value, worst = inf_derivative(T, S)
+    unit = pT.lip * pS.lip
+    value, worst = inf_derivative(T, S, 1e-8 * unit)
     estar = float(min(1.0, max(0.0, -value / (wT * wS))))
     if method == "derivative":
         margin = value - threshold
         return OrthoReport(
-            bool(margin >= -DECISION_TOL),
+            bool(margin >= -DECISION_TOL * unit),
             eps, value, worst, threshold, estar, method, margin,
         )
-    margin, _, lam_theta = _scan_minimum(T, S, eps, "omega")
-    return OrthoReport(
-        bool(margin >= -DECISION_TOL),
-        eps, value, lam_theta, threshold, estar, method, margin,
-    )
+    orthogonal, margin, lam_theta = _scan_minimum(T, S, eps, "omega")
+    return OrthoReport(orthogonal, eps, value, lam_theta, threshold, estar, method, margin)
 
 
 def is_bj_orthogonal(T, S, epsilon: float) -> bool:
@@ -817,9 +808,6 @@ def is_bj_orthogonal(T, S, epsilon: float) -> bool:
     """
     eps = _validate_eps(epsilon)
     T, S = _pair(T, S)
-    nT = _eig.spectral_norm_fast(T)
-    nS = _eig.spectral_norm_fast(S)
-    if nT == 0.0 or nS == 0.0:
+    if not (T.any() and S.any()):
         return True
-    margin, _, _ = _scan_minimum(T, S, eps, "sigma")
-    return bool(margin >= -DECISION_TOL)
+    return _scan_minimum(T, S, eps, "sigma")[0]

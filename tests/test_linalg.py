@@ -130,6 +130,18 @@ class TestHermEigMax:
         with pytest.raises(NonHermitianError):
             herm_eig_max([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_hermitian_check_is_relative(self, c):
+        # the asymmetry of c [[1,1],[0,1]] is all of it, at any scale; a
+        # rounding-level asymmetry passes at any scale
+        with pytest.raises(NonHermitianError):
+            herm_eig_max(c * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        A = _cmat(4)
+        H = c * (0.5 * (A + np.conj(A.T)))
+        H[0, 1] *= 1.0 + 4.0 * np.finfo(float).eps
+        lam, _ = herm_eig_max(H)
+        assert abs(lam - np.linalg.eigvalsh(H)[-1]) <= 1e-12 * c
+
 
 def test_jacobi_full_spectrum_matches_numpy():
     for n in (2, 3, 6):
@@ -153,6 +165,15 @@ def test_spectral_norm_matches_svd():
     for n in (2, 3, 5, 8):
         A = _cmat(n)
         assert abs(spectral_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-10
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -26, 26, 600])
+def test_spectral_norm_scales_exactly(k):
+    # T*T of 2^k A under- or overflows for |k| >= 512 unless A is scaled
+    # first; every other radius threshold is relative to this norm
+    for n in (2, 3, 5):
+        A = _cmat(n)
+        assert spectral_norm(2.0**k * A) == 2.0**k * spectral_norm(A)
 
 
 def test_spectral_norm_pinned_values():

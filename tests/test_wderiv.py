@@ -162,8 +162,8 @@ def test_semi_inner_rotated_self_vanishes():
 def test_semi_inner_zero_slots():
     Z = np.zeros((2, 2))
     assert semi_inner(Z, T24) == 0.0
-    # zero base point: the quotient limit runs instead of short-circuiting
-    assert abs(semi_inner(T24, Z)) <= 1e-8
+    # zero base point: omega^2(r S) / 2r -> 0, and the derivative is exactly 0
+    assert semi_inner(T24, Z) == 0.0
 
 
 def test_semi_inner_schwarz_inequality():
@@ -381,6 +381,32 @@ def test_quotient_disagreement_raises(monkeypatch):
     for T in (gen.matrix(3), gen.nilpotent_rank_one(3)):
         with pytest.raises(ConvergenceError, match="disagree"):
             inf_derivative(T, gen.matrix(3))
+
+
+@pytest.mark.parametrize("c", [2.0**-20, 1.0, 2.0**20])
+def test_quotient_disagreement_raises_at_any_scale(monkeypatch, c):
+    # a quotient limit 1e-3 ||T|| ||S|| off the support function, or one
+    # that wobbles by as much, is caught however small T is
+    real = wderiv._quotient_limit
+    gen = oracle.generators(64)
+    T, S = c * gen.matrix(3), gen.matrix(3)
+    unit = linalg.spectral_norm(T) * linalg.spectral_norm(S)
+
+    def off(*args):
+        d = real(*args)
+        return dataclasses.replace(d, value=d.value + 1e-3 * unit)
+
+    def wobbles(*args):
+        d = real(*args)
+        tail = ((d.quotient_trace[-1][0], d.value + 1e-3 * unit),)
+        return dataclasses.replace(d, quotient_trace=d.quotient_trace + tail, converged=False)
+
+    monkeypatch.setattr(wderiv, "_quotient_limit", off)
+    with pytest.raises(ConvergenceError, match="disagree"):
+        inf_derivative(T, S, 1e-8 * unit)
+    monkeypatch.setattr(wderiv, "_quotient_limit", wobbles)
+    with pytest.raises(ConvergenceError, match="stabilize"):
+        inf_derivative(T, S, 1e-8 * unit)
 
 
 def test_min_epsilon_worked_pairs():
@@ -635,3 +661,85 @@ def test_acc_sq_never_misses_a_dense_sweep_peak():
         w = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
         dense = max(w[:, -1].max(), -w[:, 0].min())
         assert gauge.acc_sq(th, r) >= dense**2 - 1e-9, (i, n, th, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_base_has_derivative_zero(n):
+    Z = np.zeros((n, n))
+    S = oracle.generators(50 + n).matrix(n)
+    d = omega_derivative(Z, S, 0.4)
+    assert d.value == 0.0
+    assert d.converged
+    assert inf_derivative(Z, S) == (0.0, 0.0)
+    assert derivative_via_maximizers(Z, S, 0.4) == 0.0
+
+
+# --- positive scaling of T and S ----------------------------------------------
+#
+# T is eps-orthogonal to S exactly when c T is to d S (c, d > 0), with the
+# same eps*. Every internal threshold is relative to ||T|| and ||S||, and
+# LAPACK's eigenvalues scale exactly by powers of two, so scaling by 2^k
+# reproduces every result bit for bit.
+
+
+def _scale_pairs():
+    gen = oracle.generators(909)
+    pairs = [(gen.matrix(n), gen.matrix(n)) for n in (2, 3, 4)]
+    return pairs + [(gen.nilpotent_rank_one(n), gen.matrix(n)) for n in (2, 3, 4)]
+
+
+def _verdicts(T, S, eps):
+    """Verdicts of both radius routes and of BJ, and the direct margin."""
+    direct = is_omega_orthogonal(T, S, eps, method="direct")
+    return (
+        is_omega_orthogonal(T, S, eps).orthogonal,
+        direct.orthogonal,
+        is_bj_orthogonal(T, S, eps),
+    ), direct.margin
+
+
+def test_scaling_by_powers_of_two_is_bit_for_bit():
+    rng = np.random.default_rng(910)
+    # two peaks 1e-11 apart, the lower at the smaller angle: theta* ties
+    # them only within a tolerance relative to omega
+    tied = np.diag([1.0 - 1e-11, 1j])
+    corners = [(-26, 26), (26, -26), (-26, -26), (26, 26)]
+    for i, (T, S) in enumerate(_scale_pairs()):
+        estar = min_epsilon(T, S)
+        eps = min(estar + 0.05, 0.98) if i % 2 else max(estar - 0.05, 0.0)
+        verdicts, margin = _verdicts(T, S, eps)
+        deriv = omega_derivative(T, S, 1.0)
+        radii = [numrange.numerical_radius(M, 1e-9) for M in (T, tied)]
+        for k, j in corners + rng.integers(-26, 27, size=(2, 2)).tolist():
+            c, d = 2.0**k, 2.0**j
+            assert min_epsilon(c * T, d * S) == estar, (i, k, j)
+            got, got_margin = _verdicts(c * T, d * S, eps)
+            assert got == verdicts, (i, k, j)
+            assert got_margin == c * c * margin, (i, k, j)
+            got = omega_derivative(c * T, d * S, 1.0, c * d * 1e-8)
+            assert (got.value, got.converged) == (c * d * deriv.value, deriv.converged)
+            for M, w in zip((T, tied), radii):
+                wc = numrange.numerical_radius(c * M, c * 1e-9)
+                assert wc.omega == c * w.omega, (i, k)
+                assert wc.theta_star == w.theta_star, (i, k)
+                assert wc.enclosure == (c * w.enclosure[0], c * w.enclosure[1])
+
+
+def test_scaling_by_any_positive_reals():
+    rng = np.random.default_rng(911)
+    for i, (T, S) in enumerate(_scale_pairs()):
+        estar = min_epsilon(T, S)
+        eps = [e for e in (estar - 0.05, estar + 0.05) if 0.0 <= e < 1.0]
+        verdicts = [_verdicts(T, S, e)[0] for e in eps]
+        for c, d in 10.0 ** rng.uniform(-8.0, 8.0, size=(2, 2)):
+            assert abs(min_epsilon(c * T, d * S) - estar) <= 1e-6, (i, c, d)
+            for e, want in zip(eps, verdicts):
+                assert _verdicts(c * T, d * S, e)[0] == want, (i, c, d, e)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 1.0, 1e5, 1e8])
+def test_worked_pair_at_any_scale(c):
+    # [2,0;0,0] and [1,1;0,1]: eps* = 2/3, so no decider may call the pair
+    # orthogonal at eps = 0, however T is scaled
+    assert abs(min_epsilon(c * T25, S25) - 2.0 / 3.0) <= 1e-6
+    assert _verdicts(c * T25, S25, 0.0)[0] == (False, False, False)
