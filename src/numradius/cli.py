@@ -222,7 +222,7 @@ def _j(x: float) -> float:
 
 
 def _emit(args, lines, payload) -> None:
-    if getattr(args, "format", None) == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for line in lines:
@@ -231,15 +231,6 @@ def _emit(args, lines, payload) -> None:
 
 class _UsageError(ValueError):
     pass
-
-
-def _check_format(args, allowed=("text", "json"), default="text") -> None:
-    if getattr(args, "format", None) is None:
-        args.format = default
-    if args.format not in allowed:
-        raise _UsageError(
-            f"--format must be one of {'|'.join(allowed)} for this command"
-        )
 
 
 def _matrix_arg(args, name: str, positional_ok: bool = False) -> np.ndarray:
@@ -260,7 +251,6 @@ def _matrix_arg(args, name: str, positional_ok: bool = False) -> np.ndarray:
 
 
 def _cmd_radius(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
     res = numerical_radius(T, tol=args.tol)
     vec = "[" + ";".join(_gc(z) for z in res.maximizer) + "]"
@@ -278,7 +268,6 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_crawford(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
     c = crawford_number(T, tol=args.tol)
     _emit(args, [f"crawford: {_g(c)}"], {"crawford": _j(c)})
@@ -286,7 +275,6 @@ def _cmd_crawford(args) -> int:
 
 
 def _cmd_range(args) -> int:
-    _check_format(args, allowed=("csv", "json"), default="csv")
     T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
     if args.samples < 3:
         raise _UsageError("--samples must be at least 3")
@@ -301,7 +289,6 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     d = omega_derivative(T, S, args.theta, tol=args.tol)
@@ -324,7 +311,6 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_inf_deriv(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     value, worst = inf_derivative(T, S, tol=args.tol)
@@ -337,7 +323,6 @@ def _cmd_inf_deriv(args) -> int:
 
 
 def _cmd_ortho(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     rep = is_omega_orthogonal(T, S, args.eps, method=args.method)
@@ -369,7 +354,6 @@ def _cmd_ortho(args) -> int:
 
 
 def _cmd_min_eps(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     e = min_epsilon(T, S)
@@ -378,7 +362,6 @@ def _cmd_min_eps(args) -> int:
 
 
 def _cmd_bj_ortho(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     ok = is_bj_orthogonal(T, S, args.eps)
@@ -388,7 +371,6 @@ def _cmd_bj_ortho(args) -> int:
 
 
 def _cmd_oracle_scan(args) -> int:
-    _check_format(args)
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
     if args.grid < 32:
@@ -502,7 +484,6 @@ def _paper_claims():
 
 
 def _cmd_paper_check(args) -> int:
-    _check_format(args)
     rows = []
     passed = 0
     for cid, kind, expected, compute, tol, note in _paper_claims():
@@ -560,7 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical radius, numerical range, and radius-orthogonality tools.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default=None, help="output format (text|json; range: csv|json)")
+    common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     one = argparse.ArgumentParser(add_help=False)
     one.add_argument("matrix", nargs="?", help="matrix literal, e.g. [1,2i;0,-1]")
     one.add_argument("--t", help="matrix literal")
@@ -576,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
     p = sub.add_parser("crawford", parents=[one, common], help="distance from 0 to the numerical range")
     p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
-    p = sub.add_parser("range", parents=[one, common], help="boundary points of the numerical range")
+    p = sub.add_parser("range", parents=[one, table], help="boundary points of the numerical range")
     p.add_argument("--samples", type=int, default=360, help="number of boundary points (>= 3)")
     p = sub.add_parser("deriv", parents=[two, common], help="one-sided derivative of omega^2 along a ray")
     p.add_argument("--theta", type=float, default=0.0, help="ray direction in radians")

@@ -1,6 +1,6 @@
 """Dense complex matrix substrate: adjoints, rotated Hermitian parts,
 the top Hermitian eigenpair and the spectral norm (both via LAPACK),
-rank-one builder.
+rank-one builder, and the package's private eigenvalue kernels.
 
 Conventions
 -----------
@@ -12,6 +12,10 @@ slot), so the quadratic form ``<T x, x>`` is ``x* T x``.
 All public functions treat matrices as immutable values: inputs are
 never modified and returned arrays are marked read-only, so results can
 be shared freely across threads.
+
+Eigenvalues come from LAPACK via numpy, except 2x2 extremes, which
+`_extremes` and numrange's scalar golden search take in closed form;
+the private kernels assume validated, Hermitian input.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-
-from . import _eig
 
 __all__ = [
     "MatrixError",
@@ -173,9 +175,42 @@ def herm_eig_max(H) -> tuple[float, np.ndarray]:
     return float(w[-1]), _freeze(np.ascontiguousarray(V[:, -1]))
 
 
+def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest, largest) eigenvalues along a (K, n, n) Hermitian stack:
+    LAPACK, or for 2x2 the closed form (mean of the diagonal +/- half the
+    discriminant)."""
+    if H.shape[-1] == 2:
+        a = H[:, 0, 0].real
+        d = H[:, 1, 1].real
+        b = H[:, 0, 1]
+        m = 0.5 * (a + d)
+        rad = np.sqrt(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2)
+        return m - rad, m + rad
+    w = np.linalg.eigvalsh(H)
+    return w[:, 0], w[:, -1]
+
+
+def _pow2(T: np.ndarray) -> float:
+    """The power of two that brings the largest entry of T into [0.5, 1);
+    1.0 for the zero matrix, and at least 2^-1000 (the power for a
+    subnormal entry would overflow). Dividing by it is exact."""
+    return 2.0 ** max(math.frexp(float(np.abs(T).max()))[1], -1000)
+
+
+def _spectral_norm(T: np.ndarray) -> float:
+    """Largest singular value of a validated T, via the top eigenvalue of
+    T*T, with T first divided by `_pow2` so that T*T neither underflows
+    nor overflows: the result is the unscaled one wherever that does not
+    under- or overflow, and every nonzero T has a positive norm."""
+    s = _pow2(T)
+    A = T / s
+    lam = float(np.linalg.eigvalsh(A.conj().T @ A)[-1])
+    return s * math.sqrt(max(lam, 0.0))
+
+
 def spectral_norm(T) -> float:
     """Largest singular value, via the top eigenvalue of T*T."""
-    return _eig.spectral_norm_fast(as_matrix(T))
+    return _spectral_norm(as_matrix(T))
 
 
 def rank_one(x, y) -> np.ndarray:

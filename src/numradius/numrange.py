@@ -26,11 +26,10 @@ of their two supporting lines, so lambda_max there is at most the
 modulus of the wedge's corner, sqrt(a^2 + b^2 - 2ab cos delta) / sin
 delta, plus a rounding allowance. Every value a caller reads is the full
 sweep's bit for bit. For n >= 3 the brackets are refined in lockstep:
-each golden step makes one batched eigensolve over every bracket still
-open, possibly of several matrices, with per-bracket results bit for bit
-those of the scalar search. Sweep results are memoized per matrix
-because downstream derivative and orthogonality code re-evaluates the
-same profiles heavily.
+each golden step makes one batched eigensolve (`linalg._extremes`) over
+every bracket still open, possibly of several matrices, with results bit
+for bit those of the scalar search. Sweep results are memoized per
+matrix because derivative and orthogonality code re-reads them heavily.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _eig
-from .linalg import _LRU, _freeze, _hermitian_rot, as_matrix
+from .linalg import _LRU, _extremes, _freeze, _hermitian_rot, _spectral_norm, as_matrix
 
 __all__ = [
     "GRID_DEFAULT",
@@ -263,7 +261,7 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """
     H = _solved_stack(T, grid)
     n = H.shape[-1]
-    lo, hi = _eig.extremes_batch(H.reshape(-1, n, n))
+    lo, hi = _extremes(H.reshape(-1, n, n))
     lo = lo.reshape(H.shape[:-2])
     hi = hi.reshape(H.shape[:-2])
     if H.shape[-3] == grid:
@@ -274,7 +272,7 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
 def _extremes_at(T: np.ndarray, idx: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(T) at theta = 2 pi idx / grid,
     bit for bit the values a whole sweep finds at those angles."""
-    return _eig.extremes_batch(_hermitian_rot(T[None], np.exp(1j * (idx * (_TWO_PI / grid)))))
+    return _extremes(_hermitian_rot(T[None], np.exp(1j * (idx * (_TWO_PI / grid)))))
 
 
 class _Sweep:
@@ -484,7 +482,7 @@ def _lammax_at(Ms: np.ndarray, owner, x) -> np.ndarray:
     golden searches of `_refine_peaks` round it."""
     if Ms.shape[-1] <= 2:
         return np.array([_lammax_fn(Ms[k])(t) for k, t in zip(owner, x)])
-    return _eig.max_batch(_hermitian_rot(Ms[np.asarray(owner)], np.exp(1j * np.asarray(x))))
+    return _extremes(_hermitian_rot(Ms[np.asarray(owner)], np.exp(1j * np.asarray(x))))[1]
 
 
 def _refine_peaks(
@@ -495,10 +493,12 @@ def _refine_peaks(
     Returns ``_golden_max``'s (x, f(x)) for every bracket, seeded with
     ``seeds[i]``; ``negate`` maximizes -lambda_max instead. For n >= 3
     all brackets, whatever their matrix, share one batched eigensolve per
-    golden step, which returns the scalar values bit for bit. The 2x2
-    closed form has no bit-exact batched twin (``np.hypot`` differs from
-    ``math.hypot``), and one bracket gains nothing from batching, so
-    those stay on the scalar search.
+    golden step, which returns the scalar values bit for bit. n <= 2 and
+    single brackets stay on the scalar search, which is faster there: the
+    330 calls of ortho-disk seed 4242, all replayed through `_golden_lanes`
+    (2 cores, numpy 2.4.6, OpenBLAS, one thread), went for n = 2 and one
+    bracket from 3.4 to 173 ms, n = 2 and several from 188 to 313 ms, n >= 3
+    and one from 17 to 62 ms, and the workload took 17-34 % longer.
     """
     if Ms.shape[-1] <= 2 or len(owner) <= 1:
         fns: dict[int, object] = {}
@@ -584,7 +584,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
         p.width = 0.0
         p._peaks = [(0.0, 0.0)]
     else:
-        p.lip = _eig.spectral_norm_fast(T)
+        p.lip = _spectral_norm(T)
         h = _TWO_PI / p.grid
         p._golden = 1e-10 if tol is None else tol / p.lip
         p.width = min(p._golden, h)
@@ -610,7 +610,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
         p.omega = max(v for _, v in p.peaks_above(omega_grid))
         tie = 1e-12 * p.omega
         p.theta_star = min(th for th, v in p.peaks_above(p.omega - tie) if v >= p.omega - tie)
-        _, V = _eig.eigh_single(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
+        _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
         p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
     _PROFILE_CACHE.put(key, p)
@@ -758,7 +758,7 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
         angles.pop()
     pairs = []
     for th in angles:
-        _, V = _eig.eigh_single(_hermitian_rot(T, cmath.exp(1j * th)))
+        _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * th)))
         pairs.append((th % _TWO_PI, _freeze(np.ascontiguousarray(V[:, -1]))))
     return MaximizerSet(pairs=tuple(pairs), omega=p.omega)
 

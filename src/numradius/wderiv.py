@@ -29,8 +29,10 @@ holds for every complex lam, which is equivalent to
 where D(theta) is the derivative above. ``is_omega_orthogonal``
 implements both characterizations independently: the "derivative"
 method locates the minimizing angle, the "direct" method minimizes the
-margin of the defining inequality over the whole lam plane. The two
-routes share no decision logic, so each validates the other.
+margin of the defining inequality over the whole lam plane, by golden
+section along rays. The two routes share no decision logic, so each
+validates the other. The deciders divide T and S by powers of two first
+(`_unit_pair`), so no square under- or overflows at any scale.
 
 The worst direction comes from the active-support identity
 
@@ -57,8 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _eig, numrange
-from .linalg import _LRU, DimensionError, _hermitian_rot, as_matrix
+from . import numrange
+from .linalg import (
+    _LRU, DimensionError, _extremes, _hermitian_rot, _pow2, _spectral_norm, as_matrix
+)
 
 __all__ = [
     "DerivativeResult",
@@ -141,6 +145,14 @@ def _pair(T, S):
             f"matrices must share a dimension, got {T.shape[0]} and {S.shape[0]}"
         )
     return T, S
+
+
+def _unit_pair(T, S):
+    """(T / a, S / b, a, b) for the powers of two a, b of `linalg._pow2`:
+    exact divisions that keep every square the deciders take in range."""
+    T, S = _pair(T, S)
+    a, b = _pow2(T), _pow2(S)
+    return T / a, S / b, a, b
 
 
 def _validate_theta(theta: float) -> float:
@@ -550,7 +562,7 @@ def min_epsilon(T, S) -> float:
     1.0 means no eps < 1 suffices (e.g. S = T, where lam = -1 collapses
     the radius entirely).
     """
-    T, S = _pair(T, S)
+    T, S, _, _ = _unit_pair(T, S)
     pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
@@ -585,7 +597,8 @@ def min_epsilon(T, S) -> float:
 # make F >= 0 automatically.
 #
 # Violation candidates (negative normalized margin or failed strip
-# bound) are confirmed by ternary search of the convex ray before the
+# bound) are confirmed by a golden-section search of the convex ray
+# (46 evaluations, ended by the first F < -2 tau) before the
 # verdict is allowed to say "not orthogonal"; certification never
 # relies on the micro samples alone where they look suspicious. If the
 # bisection hits its depth cap (possible only within ~tolerance of the
@@ -593,10 +606,14 @@ def min_epsilon(T, S) -> float:
 # micro radii), the verdict falls back to the best accurately evaluated
 # minimum, which is also what the report carries as its margin.
 #
-# Every value of F, at the micro radii and along the ternary searches
+# Every value of F, at the micro radii and along the ray searches
 # alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
 # gauge runs `_radius_near` (the kernel of the quotient limit too) with
 # one fixed golden width, so the nodes and the confirmations agree.
+
+
+class _Violation(Exception):
+    """Ends a ray search at its first confirmed violation, F < -2 tau."""
 
 
 class _Gauge:
@@ -614,8 +631,8 @@ class _Gauge:
             self.lipS = profS.lip
             self.norm = self.profT.lip
         else:
-            self.gT = self.norm = _eig.spectral_norm_fast(T)
-            self.gS = _eig.spectral_norm_fast(S)
+            self.gT = self.norm = _spectral_norm(T)
+            self.gS = _spectral_norm(S)
 
     def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
         """Accurate g^2 at every angle of ``thetas``, one radius r.
@@ -626,7 +643,7 @@ class _Gauge:
         Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
         if self.kind == "sigma":
             G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
-            return np.maximum(_eig.max_batch(G), 0.0)
+            return np.maximum(_extremes(G)[1], 0.0)
         w = _radius_near(self.profT, self.gS, self.lipS, Ms, r, 1e-7)
         return np.maximum(w, 0.0) ** 2
 
@@ -677,39 +694,26 @@ def _scan_minimum(
             s_plus = max((f2 - f1) / rbar, 0.0)
             nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
 
-    tern_done: set[float] = set()
-    tern_count = [0]
+    searched: set[float] = set()
 
-    def lane_ternary(th: float) -> float | None:
-        """Accurate convex minimization of F over [r_lo, r_max] at theta."""
-        if th in tern_done or tern_count[0] >= 40:
+    def ray_search(th: float) -> float | None:
+        """Accurate convex minimization of F over [r_lo, r_max] at theta:
+        golden section on -F, at most 40 rays per scan."""
+        if th in searched or len(searched) >= 40:
             return None
-        tern_done.add(th)
-        tern_count[0] += 1
-        a, b = r_lo, r_max
-        fa_cache: dict[float, float] = {}
+        searched.add(th)
 
         def f(r: float) -> float:
-            v = fa_cache.get(r)
-            if v is None:
-                v = F(th, r, gauge.acc_sq(th, r))
-                fa_cache[r] = v
-            return v
-
-        for _ in range(52):
-            if b - a <= 1e-9 * r_max:
-                break
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            f1, f2 = f(m1), f(m2)
-            if min(f1, f2) < -2.0 * tau:
+            v = F(th, r, gauge.acc_sq(th, r))
+            if v < -2.0 * tau:
                 # a violation is confirmed; its exact depth is not needed
-                return min(f1, f2)
-            if f1 <= f2:
-                b = m2
-            else:
-                a = m1
-        return f(0.5 * (a + b))
+                raise _Violation(v)
+            return -v
+
+        try:
+            return -numrange._golden_max(f, r_lo, r_max, 1e-9 * r_max, (r_lo, -math.inf))[1]
+        except _Violation as hit:
+            return hit.args[0]
 
     def candidate(th: float) -> bool:
         mt, bb = nodes[th]
@@ -720,7 +724,7 @@ def _scan_minimum(
     for th in sorted(base, key=lambda t: nodes[t][0]):
         if not candidate(th):
             break
-        got = lane_ternary(th)
+        got = ray_search(th)
         if got is not None and got < -tau:
             return False, got, th
 
@@ -744,7 +748,7 @@ def _scan_minimum(
         m = 0.5 * (a + b)
         eval_nodes([m])
         if candidate(m):
-            got = lane_ternary(m)
+            got = ray_search(m)
             if got is not None and got < -tau:
                 return False, got, m
         gaps.append((a, m, d + 1))
@@ -752,7 +756,6 @@ def _scan_minimum(
 
     v, th = best
     return v >= -tau, v, th
-
 
 
 def _validate_eps(epsilon: float) -> float:
@@ -774,12 +777,12 @@ def is_omega_orthogonal(
     the tolerance DECISION_TOL in the units of each margin (see
     `OrthoReport`), so verdicts within that band of the exact boundary may
     go either way, and a verdict does not change when T and S are
-    multiplied by positive reals.
+    multiplied by positive reals (see `_unit_pair`).
     """
     eps = _validate_eps(epsilon)
     if method not in ("derivative", "direct"):
         raise ValueError("method must be 'derivative' or 'direct'")
-    T, S = _pair(T, S)
+    T, S, a, b = _unit_pair(T, S)
     pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
@@ -788,14 +791,18 @@ def is_omega_orthogonal(
     unit = pT.lip * pS.lip
     value, worst = inf_derivative(T, S, 1e-8 * unit)
     estar = float(min(1.0, max(0.0, -value / (wT * wS))))
+    # scaled one factor at a time, so that an overflowing a b never meets a 0
+    value_ab, threshold_ab = a * (b * value), a * (b * threshold)
     if method == "derivative":
         margin = value - threshold
         return OrthoReport(
             bool(margin >= -DECISION_TOL * unit),
-            eps, value, worst, threshold, estar, method, margin,
+            eps, value_ab, worst, threshold_ab, estar, method, a * (b * margin),
         )
     orthogonal, margin, lam_theta = _scan_minimum(T, S, eps, "omega")
-    return OrthoReport(orthogonal, eps, value, lam_theta, threshold, estar, method, margin)
+    return OrthoReport(
+        orthogonal, eps, value_ab, lam_theta, threshold_ab, estar, method, a * (a * margin)
+    )
 
 
 def is_bj_orthogonal(T, S, epsilon: float) -> bool:
@@ -807,7 +814,7 @@ def is_bj_orthogonal(T, S, epsilon: float) -> bool:
     2 ||T|| / ||S||, beyond which the inequality is automatic).
     """
     eps = _validate_eps(epsilon)
-    T, S = _pair(T, S)
+    T, S, _, _ = _unit_pair(T, S)
     if not (T.any() and S.any()):
         return True
     return _scan_minimum(T, S, eps, "sigma")[0]

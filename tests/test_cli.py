@@ -180,6 +180,15 @@ def test_range_json(capsys):
     assert doc == [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize(
+    "argv", [["radius", "--t", "[1,0;0,0]", "--format", "csv"], ["range", "[1,0;0,0]", "--format", "text"]]
+)
+def test_format_outside_the_subcommands_choices_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "--format" in capsys.readouterr().err
+    assert capsys.readouterr().out == ""
+
+
 def test_deriv_reports_convergence(capsys):
     assert main(["deriv", "--t", "[0,1;0,-1]", "--s", "[1,0;0,0]", "--theta", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -455,7 +455,7 @@ def _full_profile(T, tol=1e-10):
     grid = numrange.GRID_DEFAULT
     thetas = np.arange(grid) * (2.0 * math.pi / grid)
     lo, hi = _sweep_extremes(T, grid)
-    lip = numrange._eig.spectral_norm_fast(T)
+    lip = linalg._spectral_norm(T)
     h = 2.0 * math.pi / grid
     omega_grid = float(hi.max())
     keep = omega_grid - 2.0 * lip * h

@@ -591,7 +591,7 @@ def test_convergence_error_is_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
 
 
-def test_direct_decider_refines_every_peak_of_a_kept_run():
+def test_direct_decider_refines_every_peak_of_a_kept_run(monkeypatch):
     # the 9th pair of generators(109) (n = 4): at |lam| ~ 1.7e-5 one kept
     # run of the 256-angle sweep of T + lam S holds two local maxima, and
     # a single search over the run settled on the lower one, reporting a
@@ -610,9 +610,22 @@ def test_direct_decider_refines_every_peak_of_a_kept_run():
     E = np.exp(2j * np.pi * np.arange(65536) / 65536)[:, None, None] * M[None]
     dense = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))[:, -1].max()
     assert dense**2 - 1e-9 <= gauge.acc_sq(th, r) <= dense**2 + 2e-8
+    # each ray search is a golden-section search of the convex F to a
+    # bracket of 1e-9 r_max, 46 evaluations; the scan's micro nodes never
+    # go through acc_sq
+    per_ray: dict[float, int] = {}
+    acc_sq = _Gauge.acc_sq
+
+    def counted(self, theta, r):
+        per_ray[theta] = per_ray.get(theta, 0) + 1
+        return acc_sq(self, theta, r)
+
+    monkeypatch.setattr(_Gauge, "acc_sq", counted)
     rep = is_omega_orthogonal(T, S, 0.98, method="direct")
     assert rep.orthogonal
     assert rep.margin >= 0.0
+    assert per_ray
+    assert max(per_ray.values()) <= 50, per_ray
     assert is_omega_orthogonal(T, S, 0.98, method="derivative").orthogonal
 
 
@@ -689,13 +702,9 @@ def _scale_pairs():
 
 
 def _verdicts(T, S, eps):
-    """Verdicts of both radius routes and of BJ, and the direct margin."""
-    direct = is_omega_orthogonal(T, S, eps, method="direct")
-    return (
-        is_omega_orthogonal(T, S, eps).orthogonal,
-        direct.orthogonal,
-        is_bj_orthogonal(T, S, eps),
-    ), direct.margin
+    """Verdicts of both radius routes and of BJ, and both radius reports."""
+    reports = [is_omega_orthogonal(T, S, eps, method) for method in ("derivative", "direct")]
+    return (*(rep.orthogonal for rep in reports), is_bj_orthogonal(T, S, eps)), reports
 
 
 def test_scaling_by_powers_of_two_is_bit_for_bit():
@@ -707,15 +716,20 @@ def test_scaling_by_powers_of_two_is_bit_for_bit():
     for i, (T, S) in enumerate(_scale_pairs()):
         estar = min_epsilon(T, S)
         eps = min(estar + 0.05, 0.98) if i % 2 else max(estar - 0.05, 0.0)
-        verdicts, margin = _verdicts(T, S, eps)
+        verdicts, reports = _verdicts(T, S, eps)
         deriv = omega_derivative(T, S, 1.0)
         radii = [numrange.numerical_radius(M, 1e-9) for M in (T, tied)]
         for k, j in corners + rng.integers(-26, 27, size=(2, 2)).tolist():
             c, d = 2.0**k, 2.0**j
             assert min_epsilon(c * T, d * S) == estar, (i, k, j)
-            got, got_margin = _verdicts(c * T, d * S, eps)
+            got, got_reports = _verdicts(c * T, d * S, eps)
             assert got == verdicts, (i, k, j)
-            assert got_margin == c * c * margin, (i, k, j)
+            # the derivative margin scales as omega(T) omega(S), the direct one
+            # as omega(T)^2
+            for rep, want, unit in zip(got_reports, reports, (c * d, c * c)):
+                assert rep.margin == unit * want.margin, (i, k, j)
+                assert rep.inf_derivative == c * d * want.inf_derivative, (i, k, j)
+                assert rep.threshold == c * d * want.threshold, (i, k, j)
             got = omega_derivative(c * T, d * S, 1.0, c * d * 1e-8)
             assert (got.value, got.converged) == (c * d * deriv.value, deriv.converged)
             for M, w in zip((T, tied), radii):
@@ -737,9 +751,12 @@ def test_scaling_by_any_positive_reals():
                 assert _verdicts(c * T, d * S, e)[0] == want, (i, c, d, e)
 
 
-@pytest.mark.parametrize("c", [1e-8, 1e-5, 1.0, 1e5, 1e8])
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 1.0, 1e5, 1e8, 2.0**-600, 2.0**500, 2.0**600])
 def test_worked_pair_at_any_scale(c):
     # [2,0;0,0] and [1,1;0,1]: eps* = 2/3, so no decider may call the pair
-    # orthogonal at eps = 0, however T is scaled
+    # orthogonal at eps = 0, however T is scaled; beyond 2^+-512, where
+    # c^2 under- or overflows, the deciders work on T and S divided by
+    # powers of two
     assert abs(min_epsilon(c * T25, S25) - 2.0 / 3.0) <= 1e-6
     assert _verdicts(c * T25, S25, 0.0)[0] == (False, False, False)
+
