@@ -20,11 +20,18 @@ Lipschitz in theta with constant ||T||, but may be multimodal), then
 golden-section refinement of every competitive grid bracket (a sweep
 flat up to rounding, as for a disk centred at 0, keeps its grid maximum
 alone). The grid is solved lazily (`_Sweep`): every 32nd angle first,
-then only the arcs between them that can reach the level a caller reads.
-On an arc between samples a and b, delta apart, W(T) lies in the wedge
+then only the arcs between solved angles that can still matter. On an
+arc between solved values a and b, delta apart, W(T) lies in the wedge
 of their two supporting lines, so lambda_max there is at most the
-modulus of the wedge's corner, sqrt(a^2 + b^2 - 2ab cos delta) / sin
-delta, plus a rounding allowance. Every value a caller reads is the full
+wedge's largest support over the arc's directions (the wedge bound): the
+modulus of its corner, sqrt(a^2 + b^2 - 2ab cos delta) / sin delta, when
+the corner points into the arc, else max(a, b), plus a rounding
+allowance. The grid maximum comes from a best-first bisection that
+solves only the midpoints of arcs whose bound beats the best value found
+so far (about 30 of 512 eigenproblems for a generic n = 64 T); a caller
+that reads a level solves every arc whose bound reaches it; and a grid
+run is refined only when a bound on a step of its bracket reaches the
+level read (the bracket test). Every value a caller reads is the full
 sweep's bit for bit. For n >= 3 the brackets are refined in lockstep:
 each golden step makes one batched eigensolve (`linalg._extremes`) over
 every bracket still open, possibly of several matrices, with results bit
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _LRU, _extremes, _freeze, _hermitian_rot, _spectral_norm, as_matrix
+from .linalg import _LRU, _extremes, _freeze, _hermitian_rot, _pow2, _spectral_norm, as_matrix
 
 __all__ = [
     "GRID_DEFAULT",
@@ -68,6 +75,14 @@ _FLAT = 4.0 * _EPS
 _ARCS = 32
 # below this size a whole sweep costs less than pruning it
 _PRUNE_MIN_N = 3
+# below this size a round of bisection costs more than the angles it saves:
+# `_Sweep.top` solves each arc it picks whole (on 100 generic T, n = 3: 0.19
+# ms whole, 0.48 ms bisected; n = 6: 0.43 / 0.50 ms; n = 8: 0.60 / 0.54 ms).
+# Bisecting at every n read `validate` (n <= 4) 2-4 % fewer instances/s in
+# 3 of 3 alternating 40 s runs of `perfbench/run.py` (13.04-13.25 against
+# 13.45-13.68; 2 cores, numpy 2.4.6 on OpenBLAS), `ortho-disk` the same
+# within noise; the cut between 5 and 8 rests on the timing above alone
+_BISECT_MIN_N = 8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -130,10 +145,11 @@ class MaximizerSet:
 class _Profile:
     """Cached theta-sweep of one matrix: its support curves plus refined peaks.
 
-    Both are filled lazily. ``sweep`` solves the curves as far as a caller
-    reads them, and ``hi`` and ``lo`` are the whole curves. ``peaks_above``
-    refines the grid runs a peak of a given value may come from, and
-    ``peaks`` refines every run within ``2 ||T|| h`` of the grid maximum."""
+    Both are filled lazily. ``sweep``, shared by the profiles of every tol,
+    solves the curves as far as a caller reads them, and ``hi`` and ``lo``
+    are the whole curves. ``peaks_above`` refines the grid runs a peak of
+    a given value may come from, and ``peaks`` refines every run within
+    ``2 ||T|| h`` of the grid maximum."""
 
     __slots__ = (
         "T",
@@ -150,6 +166,7 @@ class _Profile:
         "_golden",
         "_keep",
         "_cut",
+        "_done",
         "_peaks",
         "_lock",
     )
@@ -183,30 +200,48 @@ class _Profile:
         ``level``, and maybe some below it.
 
         A grid run is refined when its value is within 2 ||T|| h of the grid
-        maximum (``_keep``). Its golden search ends at most ||T|| h / 2 above
-        that value, plus rounding, since the grid values at the edges of its
-        bracket lie below it; so runs below that margin under ``level`` wait
-        until a caller reads that low. Each extension publishes a new list.
+        maximum (``_keep``) and, for the bracket test, some step of its
+        golden bracket has a bound (`_Sweep.steps`) that reaches ``level``:
+        the search stays in the bracket, so it cannot end higher. The grid
+        values of a run and of its two neighbours bound its steps, so a run
+        of grid value gv has none above (gv + rho) sec(h / 2) + 2 rho; the
+        runs that can pass are solved by ``sweep.above`` at
+        min(level, level cos(h / 2)) - 4 rho, and a lower ``level`` extends
+        the list. Each extension publishes a new list.
         """
-        h = _TWO_PI / self.grid
-        cut = max(self._keep, level - (0.5 * self.lip * h + 4.0 * self.sweep.rho))
-        if cut < self._cut:
+        if level < self._cut:
             with self._lock:
-                if cut < self._cut:
-                    hi = self.sweep.above(cut)
-                    brackets = []
-                    for s, e in _cyclic_local_max_groups(hi):
-                        gv = float(hi[s % self.grid])
-                        if cut <= gv < self._cut:
-                            brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))
-                    if brackets:
-                        a, b, seeds = zip(*brackets)
-                        refined = _refine_peaks(
-                            self.T[None], [0] * len(a), a, b, self._golden, seeds
-                        )
-                        self._peaks = sorted(self._peaks + [(x % _TWO_PI, f) for x, f in refined])
-                    self._cut = cut
+                if level < self._cut:
+                    self._extend(level)
         return self._peaks
+
+    def _extend(self, level: float) -> None:
+        g = self.grid
+        sweep = self.sweep
+        low = max(self._keep, min(level, level * math.cos(0.5 * sweep.h)) - 4.0 * sweep.rho)
+        hi = sweep.above(low)
+        s, e = np.array(_cyclic_local_max_groups(hi, low), dtype=np.intp).reshape(-1, 2).T
+        pick = ~self._done[s % g]
+        s, e = s[pick], e[pick]
+        gv = hi[s % g]
+        # the steps inside a run share its value, so its first step and the
+        # two at its ends hold the largest bound of its bracket
+        bound = sweep.steps(np.concatenate((s - 1, s, e)) % g).reshape(3, -1).max(axis=0)
+        pick = ~(bound < level)
+        if pick.any():
+            s, e, gv = s[pick], e[pick], gv[pick]
+            self._done[s % g] = True
+            h = sweep.h
+            refined = _refine_peaks(
+                self.T[None],
+                [0] * s.size,
+                ((s - 1) * h).tolist(),
+                ((e + 1) * h).tolist(),
+                self._golden,
+                list(zip((0.5 * (s + e) * h).tolist(), gv.tolist())),
+            )
+            self._peaks = sorted(self._peaks + [(x % _TWO_PI, f) for x, f in refined])
+        self._cut = level
 
 
 def _lammax_fn(T: np.ndarray):
@@ -275,95 +310,187 @@ def _extremes_at(T: np.ndarray, idx: np.ndarray, grid: int) -> tuple[np.ndarray,
     return _extremes(_hermitian_rot(T[None], np.exp(1j * (idx * (_TWO_PI / grid)))))
 
 
+def _wedge(a, b, delta):
+    """Largest support, over the directions of an arc delta wide
+    (0 < delta < pi), of the wedge cut out by the supporting lines of
+    support a and b at the arc's two ends.
+
+    The wedge's support in a direction of the arc is attained at its
+    corner P, with |P|^2 = (a^2 + b^2 - 2 a b cos delta) / sin^2 delta; it
+    peaks at |P| when P points into the arc (b > a cos delta and
+    a > b cos delta), and otherwise at an end of the arc, max(a, b). It is
+    never above |P|.
+    """
+    c, s = np.cos(delta), np.sin(delta)
+    corner = np.hypot(a - b * c, b * s) / s
+    return np.where((b > a * c) & (a > b * c), corner, np.maximum(a, b))
+
+
+def _interior(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The angles strictly inside the arcs (s, t), arc after arc."""
+    count = t - s - 1
+    first = np.repeat(s + 1 + count - np.cumsum(count), count)
+    return first + np.arange(first.size)
+
+
 class _Sweep:
     """`_sweep_extremes` of one matrix, solved only as far as callers read.
 
-    The first solve takes every (grid // 32)-th angle. On the arc between
-    two such samples a and b, delta apart, W(T) lies in the wedge cut out
-    by their two supporting lines, so every lambda_max(H_theta) there is
-    at most the modulus of the wedge's corner P,
+    The first solve takes every (grid // 32)-th angle; the angles between
+    two solved ones form an open arc. W(T) lies in the wedge cut out by the
+    supporting lines at the arc's ends, so every lambda_max(H_theta) on the
+    arc is at most the wedge's largest support over the arc's directions
+    (`_wedge`), taken with both ends raised by an allowance rho for the
+    rounding of a solved value, plus 2 rho for the rounding of an unsolved
+    value and of the bound itself. The bound holds at every angle of the
+    arc, between grid angles too. On an even grid an arc and its antipode
+    are solved together (H_{theta+pi} = -H_theta) and share the larger of
+    their two bounds.
 
-        |P|^2 = (a^2 + b^2 - 2 a b cos delta) / sin^2 delta,
+    - ``top()`` is the grid maximum, by best-first bisection: each round
+      solves, in one batched call, the midpoint of every open arc whose
+      bound reaches the best value solved so far, until none does. Below
+      `_BISECT_MIN_N` rows a round solves those arcs whole instead.
+    - ``above(level)`` solves, in one batched call, every open arc whose
+      bound reaches ``level``; every value left unsolved then lies below it.
+    - ``steps(k)`` bounds lambda_max on grid step [k, k + 1] h: the wedge
+      bound of the step's ends once both are solved, else its arc's bound.
 
-    taken with a and b raised by an allowance rho for the rounding of a
-    sample, plus 2 rho for the rounding of an unsolved value and of the
-    bound itself. ``above(level)`` solves, in one batched call, the arcs
-    whose bound reaches ``level``; every value left unsolved then lies
-    below it. With fewer than `_PRUNE_MIN_N` rows, or fewer than 64 grid
-    angles, the first solve takes every angle.
-
-    Each solve publishes new read-only curves, so an array once handed out
-    never changes; solves hold a lock, so threads may share a sweep.
+    With fewer than `_PRUNE_MIN_N` rows, or fewer than 64 grid angles, the
+    first solve takes every angle. A call that solves publishes new
+    read-only curves, so an array once handed out never changes; solves
+    hold a lock, so threads may share a sweep.
     """
 
     def __init__(self, T: np.ndarray, grid: int):
         self.T, self.grid = T, grid
+        self.h = _TWO_PI / grid
         self._lock = threading.Lock()
         n = T.shape[0]
-        # allowance for the rounding of one computed eigenvalue of H_theta
-        self.rho = 8.0 * n * _EPS * math.sqrt(np.vdot(T, T).real)
+        # allowance for the rounding of one computed eigenvalue of H_theta,
+        # from ||T||_F taken on T / s so that it neither over- nor underflows
+        s = _pow2(T)
+        A = T / s
+        self.rho = 8.0 * n * _EPS * (s * math.sqrt(np.vdot(A, A).real))
+        # solved angles; on an even grid angle m is the antipode of angle 0,
+        # on an odd one it wraps to angle 0
+        m = self._m = grid // 2 if grid % 2 == 0 else grid
+        self._sides = np.array([0, m] if m < grid else [0])
         if n < _PRUNE_MIN_N or grid < 2 * _ARCS:
             lo, hi = _sweep_extremes(T, grid)
-            self.lo, self.hi = _freeze(lo), _freeze(hi)
+            self._best = float(hi.max())
+            none = np.zeros(0, dtype=np.intp)
+            self._publish(lo, hi, none, none, np.zeros((0, 1)))
             self.samples = self.hi
-            self._reach = None
             self._mid = self._half = np.zeros(0)
             return
-        m = grid // 2 if grid % 2 == 0 else grid  # solved angles
-        # angle m is the antipode of angle 0; an odd grid wraps to angle 0
-        self._ends = ends = np.append(np.arange(0, m, grid // _ARCS), m)
-        lo, hi = _extremes_at(T, ends[:-1], grid)
-        wmin = np.full(m, math.inf)
-        wmax = np.full(m, -math.inf)
-        wmin[ends[:-1]], wmax[ends[:-1]] = lo, hi
-        self._publish(wmin, wmax)
+        ends = np.arange(0, m, grid // _ARCS)
+        lo, hi = np.full(grid, math.inf), np.full(grid, -math.inf)
+        self._best = -math.inf
+        self._solve(ends, lo, hi)
+        t = np.append(ends[1:], m)
+        open_ = t - ends > 1
+        self._publish(lo, hi, ends[open_], t[open_], self._bounds(hi, ends[open_], t[open_]))
         # lambda_max around the circle at the sample angles, and the arcs
-        # between them (those of an even grid's second half mirror the first)
-        if m < grid:
-            c = self.samples = np.concatenate((hi, -lo))
-            delta = np.diff(np.concatenate((ends[:-1], ends[:-1] + m, [grid])))
-        else:
-            c = self.samples = hi
-            delta = np.diff(ends)
-        delta = delta * (_TWO_PI / grid)
-        rho = self.rho
-        self._open = np.diff(ends) > 1
-        a = c + rho
-        b = np.roll(a, -1)
-        corner = np.hypot(a - b * np.cos(delta), b * np.sin(delta)) / np.sin(delta)
-        self.bound = (corner + 2.0 * rho).reshape(-1, ends.size - 1).max(axis=0)
-        self._reach = float(self.bound[self._open].max()) if self._open.any() else None
-        inner = np.tile(self._open, c.size // self._open.size)
+        # between them that `floor` bounds
+        at = np.concatenate((ends, ends + m)) if m < grid else ends
+        c = self.samples = self.hi[at]
+        inner = np.tile(open_, c.size // ends.size)
         self._mid = 0.5 * (c + np.roll(c, -1))[inner]
-        self._half = 0.5 * delta[inner]
+        self._half = 0.5 * (np.diff(np.append(at, grid)) * self.h)[inner]
 
-    def _publish(self, wmin: np.ndarray, wmax: np.ndarray) -> None:
-        if wmin.size < self.grid:  # H_{theta+pi} = -H_theta
-            wmin, wmax = np.concatenate((wmin, -wmax)), np.concatenate((wmax, -wmin))
-        self.lo, self.hi = _freeze(wmin), _freeze(wmax)
+    def _solve(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Solve the angles ``idx`` of the solved half into the curves
+        ``lo`` and ``hi`` (H_{theta+pi} = -H_theta gives their antipodes)."""
+        wmin, wmax = _extremes_at(self.T, idx, self.grid)
+        lo[idx], hi[idx] = wmin, wmax
+        best = wmax.max()
+        if self._m < self.grid:
+            lo[idx + self._m], hi[idx + self._m] = -wmax, -wmin
+            best = max(best, -wmin.min())
+        self._best = max(self._best, float(best))
+
+    def _publish(
+        self, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, t: np.ndarray, side: np.ndarray
+    ) -> None:
+        """Hand out the curves, then the open arcs (s, t) with their bounds
+        ``side``."""
+        self.lo, self.hi = _freeze(lo), _freeze(hi)
+        self._s, self._t, self._side = s, t, side
+        self._b = side.max(axis=1)
+        # _reach, the highest bound of an open arc (None once every arc is
+        # solved), is published last; a NaN bound is solved, never skipped
+        self._reach = float(self._b.max()) if s.size else None
+
+    def _bounds(self, hi: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Bounds of the open arcs (s, t) of the solved half: one column,
+        and on an even grid a second one for their antipodal arcs."""
+        rho = self.rho
+        a = hi[s[:, None] + self._sides] + rho
+        b = hi[(t[:, None] + self._sides) % self.grid] + rho
+        return _wedge(a, b, ((t - s) * self.h)[:, None]) + 2.0 * rho
+
+    def top(self) -> float:
+        """The largest value of the lambda_max curve, bit for bit the full
+        sweep's maximum."""
+        with self._lock:
+            s, t, side, b = self._s, self._t, self._side, self._b
+            pick = ~(b < self._best)
+            if not pick.any():
+                return self._best
+            lo, hi = self.lo.copy(), self.hi.copy()
+            while pick.any():
+                keep = ~pick
+                s, t, side, b, ps, pt = s[keep], t[keep], side[keep], b[keep], s[pick], t[pick]
+                if self.T.shape[0] < _BISECT_MIN_N:
+                    self._solve(_interior(ps, pt), lo, hi)
+                else:
+                    mid = (ps + pt) // 2
+                    self._solve(mid, lo, hi)
+                    ps, pt = np.concatenate((ps, mid)), np.concatenate((mid, pt))
+                    split = pt - ps > 1
+                    ps, pt = ps[split], pt[split]
+                    nside = self._bounds(hi, ps, pt)
+                    s, t = np.concatenate((s, ps)), np.concatenate((t, pt))
+                    side = np.concatenate((side, nside))
+                    b = np.concatenate((b, nside.max(axis=1)))
+                pick = ~(b < self._best)
+            self._publish(lo, hi, s, t, side)
+            return self._best
 
     def above(self, level: float) -> np.ndarray:
         """The lambda_max curve, exact wherever it reaches ``level``; a
         value that cannot reach it may read -inf."""
-        # _reach, the highest bound of an unsolved arc (None once every arc
-        # is solved), is published last; a NaN bound is solved, never skipped
         reach = self._reach
         if reach is not None and not level > reach:
             with self._lock:
-                need = self._open & ~(self.bound < level)
+                need = ~(self._b < level)
                 if need.any():
-                    e = self._ends
-                    idx = np.concatenate(
-                        [np.arange(s + 1, t) for s, t in zip(e[:-1][need], e[1:][need])]
-                    )
-                    lo, hi = _extremes_at(self.T, idx, self.grid)
-                    m = e[-1]
-                    wmin, wmax = self.lo[:m].copy(), self.hi[:m].copy()
-                    wmin[idx], wmax[idx] = lo, hi
-                    self._publish(wmin, wmax)
-                    self._open = todo = self._open & ~need
-                    self._reach = float(self.bound[todo].max()) if todo.any() else None
+                    lo, hi = self.lo.copy(), self.hi.copy()
+                    self._solve(_interior(self._s[need], self._t[need]), lo, hi)
+                    keep = ~need
+                    self._publish(lo, hi, self._s[keep], self._t[keep], self._side[keep])
         return self.hi
+
+    def steps(self, k: np.ndarray) -> np.ndarray:
+        """A bound on every computed lambda_max(H_theta) with theta in the
+        grid step [k, k + 1] h, for each k of an int array (0 <= k < grid)."""
+        rho = self.rho
+        with self._lock:
+            a, b = self.hi[k] + rho, self.hi[(k + 1) % self.grid] + rho
+            open_ = (a == -math.inf) | (b == -math.inf)
+            if not open_.any():
+                return _wedge(a, b, self.h) + 2.0 * rho
+            out = np.empty(k.shape)
+            shut = ~open_
+            out[shut] = _wedge(a[shut], b[shut], self.h) + 2.0 * rho
+            # an open arc (s, t) holds the steps s .. t - 1, its antipode (on
+            # an even grid) the steps s + m .. t + m - 1
+            side, j = np.divmod(k[open_], self._m)
+            order = np.argsort(self._s)
+            arc = order[np.searchsorted(self._s[order], j, side="right") - 1]
+            out[open_] = self._side[arc, side]
+        return out
 
     def full(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_min, lambda_max) curves with every arc solved."""
@@ -372,7 +499,7 @@ class _Sweep:
 
     def floor(self, lip: float) -> float:
         """A lower bound of the whole lambda_max curve: on an arc between
-        samples a and b, a Lipschitz constant lip >= ||T|| gives
+        first samples a and b, a Lipschitz constant lip >= ||T|| gives
         (a + b - lip delta) / 2, less 2 rho for rounding."""
         low = float(self.samples.min())
         if self._mid.size:
@@ -529,39 +656,46 @@ def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     all-True mask is the single run (0, size - 1).
     """
     g = mask.size
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    if idx.size == g:
-        return [(0, g - 1)]
-    runs: list[list[int]] = [[int(idx[0]), int(idx[0])]]
-    for i in idx[1:]:
-        if i == runs[-1][1] + 1:
-            runs[-1][1] = int(i)
-        else:
-            runs.append([int(i), int(i)])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == g - 1:
-        runs[0][0] = runs[-1][0] - g
-        runs.pop()
-    return [(s, e) for s, e in runs]
+    # i is in edge when mask[i] != mask[i + 1]: a run ends at i or starts at
+    # i + 1, alternately
+    edge = np.flatnonzero(mask[1:] != mask[:-1]).tolist()
+    if not edge:
+        return [(0, g - 1)] if mask[0] else []
+    if mask[0]:
+        edge.insert(0, -1)
+    if mask[-1]:
+        edge.append(g - 1)
+    starts, ends = [i + 1 for i in edge[0::2]], edge[1::2]
+    if len(starts) > 1 and starts[0] == 0 and ends[-1] == g - 1:
+        starts[0] = starts.pop() - g
+        ends.pop()
+    return list(zip(starts, ends))
 
 
-def _cyclic_local_max_groups(vals: np.ndarray) -> list[tuple[int, int]]:
-    """Cyclic runs of grid values that weakly dominate both neighbours."""
-    return _true_runs((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+def _cyclic_local_max_groups(vals: np.ndarray, low: float = -math.inf) -> list[tuple[int, int]]:
+    """Cyclic runs of grid values that weakly dominate both neighbours,
+    those of value at least ``low`` (the values of a run are equal)."""
+    g = vals.size
+    idx = np.flatnonzero(vals >= low)
+    v = vals[idx]
+    mask = np.zeros(g, dtype=bool)
+    mask[idx[(v >= vals[idx - 1]) & (v >= vals[(idx + 1) % g])]] = True
+    return _true_runs(mask)
 
 
 _PROFILE_CACHE = _LRU(1024)
+_SWEEP_CACHE = _LRU(1024)
 
 
 def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10) -> _Profile:
-    """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol).
+    """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol),
+    with one sweep per (matrix bytes, grid) whatever the tol.
 
     ``tol`` is the absolute golden tolerance on the radius; None refines
     to 1e-10 ||T|| (a golden width of 1e-10 rad), so that the profile of
     c T is that of T scaled by c, bit for bit when c is a power of two."""
-    key = (T.tobytes(), T.shape[0], int(grid), tol)
-    hit = _PROFILE_CACHE.get(key)
+    key = (T.tobytes(), T.shape[0], int(grid))
+    hit = _PROFILE_CACHE.get(key + (tol,))
     if hit is not None:
         return hit
 
@@ -571,11 +705,14 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
     p.grid = int(grid)
     p.thetas = np.arange(p.grid) * (_TWO_PI / p.grid)
     p.is_zero = not T.any()
-    p.sweep = _Sweep(T, p.grid)
+    shared = _SWEEP_CACHE.get(key)  # (sweep, ||T||), whatever the tol
+    if shared is None:
+        shared = (_Sweep(T, p.grid), 0.0 if p.is_zero else _spectral_norm(T))
+        _SWEEP_CACHE.put(key, shared)
+    p.sweep, p.lip = shared
     p._lock = threading.Lock()
     p._keep = p._cut = -math.inf
     if p.is_zero:
-        p.lip = 0.0
         p.omega = 0.0
         p.theta_star = 0.0
         e1 = np.zeros(n, dtype=np.complex128)
@@ -584,19 +721,15 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
         p.width = 0.0
         p._peaks = [(0.0, 0.0)]
     else:
-        p.lip = _spectral_norm(T)
         h = _TWO_PI / p.grid
         p._golden = 1e-10 if tol is None else tol / p.lip
         p.width = min(p._golden, h)
         # the grid maximum is at least the samples' and the spread at least
         # theirs, so only a flat spread of samples needs the whole curve
         c = p.sweep.samples
-        c_max = float(c.max())
-        flat = c_max - float(c.min()) <= _FLAT * n * p.lip
-        hi = p.sweep.above(
-            -math.inf if flat else c_max - (0.5 * p.lip * h + 4.0 * p.sweep.rho)
-        )
-        omega_grid = float(hi.max())
+        flat = float(c.max()) - float(c.min()) <= _FLAT * n * p.lip
+        hi = p.sweep.full()[1] if flat else None
+        omega_grid = p.sweep.top()
         if flat and omega_grid - float(hi.min()) <= _FLAT * n * p.lip:
             # flat curve (a disk centred at 0): its local maxima are rounding
             # noise, and the grid already resolves it
@@ -606,6 +739,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
             # they end every such run and start none
             p._keep = omega_grid - 2.0 * p.lip * h
             p._cut = math.inf
+            p._done = np.zeros(p.grid, dtype=bool)
             p._peaks = []
         p.omega = max(v for _, v in p.peaks_above(omega_grid))
         tie = 1e-12 * p.omega
@@ -613,7 +747,7 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
         _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
         p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
-    _PROFILE_CACHE.put(key, p)
+    _PROFILE_CACHE.put(key + (tol,), p)
     return p
 
 
@@ -638,11 +772,13 @@ def numerical_radius(T, tol: float = 1e-10) -> RadiusResult:
 
     Computed as max over theta of lambda_max(H_theta) on a 1024-point
     grid with golden-section refinement of every competitive bracket.
-    The grid solves every 32nd angle, then only the arcs whose corner
-    bound (see `_Sweep`) reaches the samples' maximum less ||T|| h / 2
-    (h the grid step) and a rounding allowance: a bracket whose grid value
-    lies lower cannot refine to the grid maximum, so it is left alone.
-    The enclosure is certified by the Lipschitz bound
+    The grid solves every 32nd angle, then finds its maximum by best-first
+    bisection (`_Sweep.top`): each round solves the midpoints of the arcs
+    whose wedge bound reaches the best value found so far, so a generic
+    n = 64 T solves about 30 of 512 eigenproblems. A bracket is refined
+    only when a bound on one of its grid steps reaches the grid maximum
+    (the bracket test of `_Profile.peaks_above`): one that cannot refine
+    to it is left alone. The enclosure is certified by the Lipschitz bound
     |lambda_max(H_a) - lambda_max(H_b)| <= ||T|| |a - b| applied to the
     final refinement bracket.
 
@@ -771,9 +907,12 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     and some grid angle lies within pi/grid of -arg p, so
     omega(T) <= lower / cos(pi/grid). upper adds an allowance of
     4 n eps ||T||_F for the rounding of the sweep. No unimodality
-    assumption. The sweep solves every (grid // 32)-th angle, then only
-    the arcs whose corner bound (see `_Sweep`) reaches those samples'
-    maximum, so lower is the full sweep's maximum bit for bit.
+    assumption. The sweep solves every (grid // 32)-th angle, then
+    bisects best first (`_Sweep.top`): only the midpoints of arcs whose
+    wedge bound reaches the best value found so far, until none does, so
+    lower is the full sweep's maximum bit for bit. The rounding term is
+    half the sweep's allowance rho, taken on T divided by a power of two,
+    so it does not overflow.
     """
     grid = operator.index(grid)
     if grid < 8:
@@ -782,7 +921,7 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     if not T.any():
         return (0.0, 0.0)
     sweep = _Sweep(T, grid)
-    lower = float(sweep.above(float(sweep.samples.max())).max())
-    rounding = 4.0 * T.shape[0] * np.finfo(float).eps * float(np.linalg.norm(T))
-    upper = lower / math.cos(math.pi / grid) + rounding
+    lower = sweep.top()
+    # 4 n eps ||T||_F is half the sweep's allowance rho
+    upper = lower / math.cos(math.pi / grid) + 0.5 * sweep.rho
     return (lower, upper)

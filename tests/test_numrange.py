@@ -591,12 +591,16 @@ def test_pruned_sweep_is_the_full_sweep_bit_for_bit(case):
     assert _profile(T).peaks == ref["peaks"]
 
 
-@pytest.mark.parametrize("grid", [64, 256, 1024])
+@pytest.mark.parametrize("grid", [64, 65, 256, 1024])
 def test_arc_bounds_cover_every_unsolved_value(grid):
-    # each arc's corner bound lies at or above every grid value on it, and
-    # the Lipschitz floor at or below; the tight cases put W(T) at one point
-    # whose support peaks on a grid angle inside an arc, where the corner is
-    # that peak itself and only the rounding allowance keeps it above
+    # every bound of a sweep lies at or above a sweep 16 times finer over
+    # its arc or grid step, so it holds between grid angles too: the open
+    # arcs and every step's bound, right after the first solve, after top()
+    # and after a partial above(); the Lipschitz floor lies at or below the
+    # curve, and top() is the full sweep's maximum bit for bit. The tight
+    # cases put W(T) at one point whose support peaks on a grid angle inside
+    # an arc, where the wedge bound is that peak itself and only the
+    # rounding allowance keeps it above
     gen = oracle.generators(4141)
     mats = [gen.matrix(n) for n in (3, 4, 8, 16)]
     mats += [1e-8 * gen.matrix(5), 1e8 * gen.matrix(5), gen.hermitian(4)]
@@ -605,28 +609,89 @@ def test_arc_bounds_cover_every_unsolved_value(grid):
     for k in range(1, step):
         for n, c in ((3, 1.0), (4, 1e-8), (5, 3e8)):
             mats.append(c * cmath.exp(-2j * math.pi * k / grid) * np.eye(n))
+    # fine values on grid step k: angles (16 k + j) h / 16 for j = 0..16
+    on_step = (16 * np.arange(grid)[:, None] + np.arange(17)) % (16 * grid)
     for T in mats:
         T = linalg.as_matrix(T)
         sweep = numrange._Sweep(T, grid)
         lo, hi = _sweep_extremes(T, grid)
-        ends = sweep._ends
-        m = ends[-1]
-        for q, (s, t) in enumerate(zip(ends[:-1], ends[1:])):
-            inner = np.r_[np.arange(s + 1, t), np.arange(s + 1, t) + m]
-            assert hi[inner].max(initial=-math.inf) <= sweep.bound[q]
+        fine = _sweep_extremes(T, 16 * grid)[1][on_step].max(axis=1)
+        m = sweep._m
+        for stage in ("first", "top", "above"):
+            if stage == "top":
+                assert sweep.top().hex() == float(hi.max()).hex()
+            elif stage == "above":
+                sweep.above(float(np.quantile(hi, 0.75)))
+            for s, t, bounds in zip(sweep._s, sweep._t, sweep._side):
+                for offset, bound in zip((0, m), bounds):
+                    assert fine[np.arange(s, t) + offset].max() <= bound
+            assert (fine <= sweep.steps(np.arange(grid))).all()
         assert sweep.floor(linalg.spectral_norm(T)) <= hi.min()
         assert np.array_equal(sweep.full()[1], hi)
         assert np.array_equal(sweep.full()[0], lo)
+        assert sweep._s.size == 0
+        assert (fine <= sweep.steps(np.arange(grid))).all()
+
+
+def test_radius_of_a_generic_n64_matrix_solves_few_angles(monkeypatch):
+    # the best-first sweep solves 26-32 of a 1024-angle grid's 512 distinct
+    # eigenproblems on these draws; a margin first order in the grid step
+    # (||T|| h / 2) would solve 109-202
+    rows = []
+    solve = numrange._extremes_at
+
+    def counting(T, idx, grid):
+        rows.append(len(idx))
+        return solve(T, idx, grid)
+
+    monkeypatch.setattr(numrange, "_extremes_at", counting)
+    monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+    monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+    gen = oracle.generators(4243)
+    for _ in range(3):
+        rows.clear()
+        numerical_radius(gen.matrix(64))
+        assert 0 < sum(rows) <= 64
+
+
+def _radius_calls(T, c):
+    lower, upper = radius_enclosure(c * T, 64)
+    return [numerical_radius(c * T, c * 1e-10).omega, crawford_number(c * T, c * 1e-10), lower, upper]
+
+
+@pytest.mark.parametrize("e", [600, -600])
+@pytest.mark.parametrize("base", ["diag-2", "generic-2", "generic-3", "generic-8"])
+def test_radius_calls_at_two_to_the_600(base, e):
+    # the squares of the 2x2 closed form, ||T||_F in the rounding allowance
+    # and the enclosure's rounding term would over- or underflow at 2^+-600;
+    # n = 2 gives c times the c = 1 answers bit for bit, n = 3 and 8 (where
+    # LAPACK's own scaling is not exact) finite values within 1e-12, and no
+    # RuntimeWarning anywhere (pytest turns it into an error)
+    n = int(base[-1])
+    T = np.diag([2.0, 0.0]) if base == "diag-2" else oracle.generators(5).matrix(n)
+    T = linalg.as_matrix(T)
+    c = 2.0**e
+    want = _radius_calls(T, 1.0)
+    got = _radius_calls(T, c)
+    if n == 2:
+        assert got == [c * x for x in want]
+    else:
+        assert all(math.isfinite(x) for x in got)
+        assert all(abs(x / c - w) <= 1e-12 * want[0] for x, w in zip(got, want))
 
 
 def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
     # four threads read one cached profile at different levels while it is
-    # solved lazily: each must see the full sweep's values wherever they
-    # reach its level, and no array once handed out may change
+    # solved lazily, and a fifth builds the profile of another tol on the
+    # same sweep: each must see the full sweep's values wherever they reach
+    # its level, and no array once handed out may change
     T = linalg.as_matrix(oracle.generators(909).matrix(12))
     lo_ref, hi_ref = _sweep_extremes(T, 1024)
     omega = _full_profile(T)["omega"]
-    levels = [omega, omega - 1e-3, -math.inf, None]  # None: p.lo and p.hi
+    monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+    rel_peaks = _profile(T, 1024, None).peaks
+    # None: p.lo and p.hi; "rel": the profile with tol=None
+    levels = [omega, omega - 1e-3, -math.inf, None, "rel"]
     handed, errors, wrong = [], [], []
 
     def work(i, p, barrier):
@@ -635,6 +700,11 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
             level = levels[i]
             if level is None:
                 got = [(p.lo, lo_ref), (p.hi, hi_ref)]
+            elif level == "rel":
+                q = _profile(T, 1024, None)
+                if q.sweep is not p.sweep or q.peaks != rel_peaks:
+                    wrong.append(i)
+                got = []
             else:
                 hi = p.sweep.above(level)
                 keep = hi_ref >= level
@@ -653,9 +723,12 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
     try:
         for _ in range(20):
             monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+            monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
             p = _profile(T)
-            barrier = threading.Barrier(4)
-            threads = [threading.Thread(target=work, args=(i, p, barrier)) for i in range(4)]
+            barrier = threading.Barrier(len(levels))
+            threads = [
+                threading.Thread(target=work, args=(i, p, barrier)) for i in range(len(levels))
+            ]
             for t in threads:
                 t.start()
             for t in threads:
