@@ -42,6 +42,7 @@ from .wderiv import (
     is_bj_orthogonal,
     is_omega_orthogonal,
     min_epsilon,
+    min_epsilon_bj,
     omega_derivative,
     semi_inner,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "semi_inner",
     "inf_derivative",
     "min_epsilon",
+    "min_epsilon_bj",
     "is_omega_orthogonal",
     "is_bj_orthogonal",
     "__version__",

@@ -27,6 +27,7 @@ from .wderiv import (
     is_bj_orthogonal,
     is_omega_orthogonal,
     min_epsilon,
+    min_epsilon_bj,
     omega_derivative,
 )
 
@@ -364,9 +365,18 @@ def _cmd_min_eps(args) -> int:
 def _cmd_bj_ortho(args) -> int:
     T = as_matrix(_matrix_arg(args, "t"))
     S = as_matrix(_matrix_arg(args, "s"))
-    ok = is_bj_orthogonal(T, S, args.eps)
+    ok = is_bj_orthogonal(T, S, args.eps, method=args.method)
     verdict = "ORTHOGONAL" if ok else "NOT ORTHOGONAL"
-    _emit(args, [f"verdict: {verdict}"], {"orthogonal": ok, "epsilon": _j(args.eps)})
+    lines = [f"verdict: {verdict}", f"epsilon: {_g(args.eps)}"]
+    doc = {"orthogonal": ok, "epsilon": _j(args.eps)}
+    if args.method == "closed-form":
+        # the direct scan computes no threshold; its verdict stands alone
+        estar = min_epsilon_bj(T, S)
+        lines.append(f"epsilon-star: {_g(estar)}")
+        doc["epsilon_star"] = _j(estar)
+    lines.append(f"method: {args.method}")
+    doc["method"] = args.method
+    _emit(args, lines, doc)
     return 0
 
 
@@ -417,6 +427,14 @@ def _paper_claims():
 
         return run
 
+    def bj_verdict(T, S, eps):
+        def run():
+            a = is_bj_orthogonal(T, S, eps, method="closed-form")
+            b = is_bj_orthogonal(T, S, eps, method="direct")
+            return a if a == b else None
+
+        return run
+
     claims = [
         ("omega [i,0;0,0]", "value", 1.0, omega(T22), 1e-8, ""),
         ("omega [0,1;0,-1]", "value", (1 + math.sqrt(2)) / 2, omega(S22), 1e-8, ""),
@@ -456,9 +474,9 @@ def _paper_claims():
             "bj-ortho@eps=0 [0,1;0,-1] vs [1,0;0,0]",
             "verdict",
             True,
-            lambda: is_bj_orthogonal(T24, S24, 0.0),
+            bj_verdict(T24, S24, 0.0),
             0,
-            "",
+            "closed form and direct scan; eps-star is exactly 0 here",
         ),
         ("ortho@eps=0.005 [0,1;0,-1] vs [1,0;0,0]", "verdict", False, verdict(T24, S24, 0.005), 0, ""),
         ("ortho@eps=0 [2,0;0,0] vs [1,1;0,1]", "verdict", False, verdict(T25, S25, 0.0), 0, ""),
@@ -577,6 +595,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("min-eps", parents=[two, common], help="smallest epsilon making the pair orthogonal")
     p = sub.add_parser("bj-ortho", parents=[two, common], help="spectral-norm orthogonality verdict")
     p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    p.add_argument(
+        "--method",
+        choices=("closed-form", "direct"),
+        default="closed-form",
+        help="decision procedure",
+    )
     sub.add_parser("paper-check", parents=[common], help="verify the built-in reference values")
     p = sub.add_parser("oracle-scan", parents=[two, common], help="brute-force margin scan over lambda")
     p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")

@@ -357,13 +357,17 @@ class _Sweep:
       bound of the step's ends once both are solved, else its arc's bound.
 
     With fewer than `_PRUNE_MIN_N` rows, or fewer than 64 grid angles, the
-    first solve takes every angle. A call that solves publishes new
+    first solve takes every angle. Given a ``finer`` sweep of the same T
+    on a multiple of its grid, a pruned sweep copies the values that one
+    has solved instead of solving them again: angle k of the grid is the
+    same double as angle (finer.grid / grid) k of the finer one, so the
+    values are the same bits. A call that solves publishes new
     read-only curves, so an array once handed out never changes; solves
     hold a lock, so threads may share a sweep.
     """
 
-    def __init__(self, T: np.ndarray, grid: int):
-        self.T, self.grid = T, grid
+    def __init__(self, T: np.ndarray, grid: int, finer: _Sweep | None = None):
+        self.T, self.grid, self._finer = T, grid, finer
         self.h = _TWO_PI / grid
         self._lock = threading.Lock()
         n = T.shape[0]
@@ -401,8 +405,18 @@ class _Sweep:
 
     def _solve(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """Solve the angles ``idx`` of the solved half into the curves
-        ``lo`` and ``hi`` (H_{theta+pi} = -H_theta gives their antipodes)."""
-        wmin, wmax = _extremes_at(self.T, idx, self.grid)
+        ``lo`` and ``hi`` (H_{theta+pi} = -H_theta gives their antipodes).
+        Angles that the ``finer`` sweep has solved are copied from it."""
+        if self._finer is None:
+            wmin, wmax = _extremes_at(self.T, idx, self.grid)
+        else:
+            f = self._finer
+            with f._lock:
+                at = idx * (f.grid // self.grid)
+                wmin, wmax = f.lo[at], f.hi[at]
+            new = wmax == -math.inf
+            if new.any():
+                wmin[new], wmax[new] = _extremes_at(self.T, idx[new], self.grid)
         lo[idx], hi[idx] = wmin, wmax
         best = wmax.max()
         if self._m < self.grid:
@@ -910,9 +924,12 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     assumption. The sweep solves every (grid // 32)-th angle, then
     bisects best first (`_Sweep.top`): only the midpoints of arcs whose
     wedge bound reaches the best value found so far, until none does, so
-    lower is the full sweep's maximum bit for bit. The rounding term is
-    half the sweep's allowance rho, taken on T divided by a power of two,
-    so it does not overflow.
+    lower is the full sweep's maximum bit for bit. When grid divides 1024
+    and T's 1024-angle sweep is cached (by `numerical_radius` or any other
+    call that read T's profile), the angles it has solved are read from
+    it: the same bits (`_Sweep`). The rounding term is half the sweep's
+    allowance rho, taken on T divided by a power of two, so it does not
+    overflow.
     """
     grid = operator.index(grid)
     if grid < 8:
@@ -920,7 +937,10 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     T = as_matrix(T)
     if not T.any():
         return (0.0, 0.0)
-    sweep = _Sweep(T, grid)
+    shared = None
+    if GRID_DEFAULT % grid == 0:
+        shared = _SWEEP_CACHE.get((T.tobytes(), T.shape[0], GRID_DEFAULT))
+    sweep = _Sweep(T, grid, None if shared is None else shared[0])
     lower = sweep.top()
     # 4 n eps ||T||_F is half the sweep's allowance rho
     upper = lower / math.cos(math.pi / grid) + 0.5 * sweep.rho

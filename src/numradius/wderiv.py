@@ -49,6 +49,13 @@ points of K; ``derivative_via_maximizers`` evaluates it at one angle. The
 difference-quotient limit at the worst angle, and a second one 2 rad
 away, must agree with omega(T) times the support function there, or
 ConvergenceError is raised, so the two routes cross-check on every call.
+
+In the spectral-norm gauge the same derivative is lambda_max of the
+rotated Hermitian part of B = V* T* S V, V spanning T's top
+right-singular space, so the threshold is closed: ``min_epsilon_bj`` is
+c(B) / (||T|| ||S||), c the Crawford number (Bhatia-Semrl at eps = 0).
+``is_bj_orthogonal`` decides from it by default, and by the certified
+scan of the direct method with method="direct", the independent check.
 """
 
 from __future__ import annotations
@@ -75,14 +82,16 @@ __all__ = [
     "inf_derivative",
     "min_epsilon",
     "is_omega_orthogonal",
+    "min_epsilon_bj",
     "is_bj_orthogonal",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
 #: relative decision tolerance of the orthogonality verdicts: a margin
-#: counts as a violation below -DECISION_TOL ||T|| ||S|| (derivative) or
-#: -DECISION_TOL ||T||^2 (direct scan, both gauges)
+#: counts as a violation below -DECISION_TOL ||T|| ||S|| (derivative, and
+#: the closed form of the spectral-norm gauge) or -DECISION_TOL ||T||^2
+#: (direct scan, both gauges)
 DECISION_TOL = 1e-9
 
 
@@ -805,16 +814,79 @@ def is_omega_orthogonal(
     )
 
 
-def is_bj_orthogonal(T, S, epsilon: float) -> bool:
+# ---------------------------------------------------------------------------
+# spectral-norm gauge
+#
+# Let V be an orthonormal basis of T's top right-singular space. The top
+# eigenvalue of (T + r E)*(T + r E) = T*T + r (T*E + E*T) + r^2 E*E moves
+# at first order by the top eigenvalue of the compression of T*E + E*T to
+# V, so with E = e^{i theta} S the derivative of ||T + r E||^2 / 2 at
+# r = 0+ is lambda_max(H_theta(B)), B = V* T* S V. Its minimum over theta
+# is -c(B), c the Crawford number (the distance from 0 to W(B)), or is
+# nonnegative when 0 lies in W(B); along each ray the square of the norm
+# is convex, so T is eps-orthogonal to S exactly when
+# eps ||T|| ||S|| >= c(B) (Bhatia-Semrl at eps = 0; Chmielinski, Stypula
+# and Wojcik for eps > 0).
+#
+# Singular values sigma >= (1 - _BJ_TIE) ||T|| count as top. Merging a
+# lower one, sigma_m, into V can only lower c(B), and the violations the
+# merge overlooks are shallow: compressing to V gives
+# F(theta, r) >= sigma_m^2 - ||T||^2 + 2 r (eps ||T|| ||S|| - c(B)).
+# Wherever the closed form says orthogonal, the last term is at least
+# -2 r DECISION_TOL ||T|| ||S|| (its own band), so
+# F >= -DECISION_TOL ||T||^2 - 2 r DECISION_TOL ||T|| ||S||: the tie adds
+# at most 2 _BJ_TIE ||T||^2 = DECISION_TOL ||T||^2, the band of the
+# direct route, to the closed form's band. LAPACK resolves the singular
+# values through T*T to about n u ||T||, far inside the tie.
+_BJ_TIE = 0.5 * DECISION_TOL
+
+
+def _bj_crawford(T: np.ndarray, S: np.ndarray) -> tuple[float, float]:
+    """(c(B), ||T|| ||S||) for nonzero T and S divided by `_unit_pair`."""
+    w, X = np.linalg.eigh(T.conj().T @ T)
+    V = X[:, w >= w[-1] * (1.0 - _BJ_TIE) ** 2]
+    B = (T @ V).conj().T @ (S @ V)
+    unit = math.sqrt(w[-1]) * _spectral_norm(S)
+    if B.shape[0] == 1:
+        return abs(complex(B[0, 0])), unit
+    # to 1e-10 of the verdict's unit (||B|| <= ||T|| ||S||)
+    return numrange.crawford_number(B, 1e-10 * unit), unit
+
+
+def min_epsilon_bj(T, S) -> float:
+    """Smallest eps in [0, 1] making T eps-orthogonal to S in the
+    spectral-norm gauge: c(V* T* S V) / (||T|| ||S||), V spanning the top
+    right-singular space of T (section comment above; it states the tie
+    rule). For a simple top singular value, T v = ||T|| u, this is
+    |u* S v| / ||S||. 0.0 when T or S is zero; 1.0 for S = T."""
+    T, S, _, _ = _unit_pair(T, S)
+    if not (T.any() and S.any()):
+        return 0.0
+    c, unit = _bj_crawford(T, S)
+    return float(min(1.0, c / unit))
+
+
+def is_bj_orthogonal(T, S, epsilon: float, method: str = "closed-form") -> bool:
     """Approximate orthogonality in the spectral-norm gauge.
 
     True when ||T + lam S||^2 >= ||T||^2 - 2 eps ||T|| ||lam S|| for
-    every complex lam, decided by the same certified scan as the direct
-    radius method but with the spectral norm (and r capped at
-    2 ||T|| / ||S||, beyond which the inequality is automatic).
+    every complex lam. method="closed-form" compares eps ||T|| ||S|| with
+    c(V* T* S V) (see `min_epsilon_bj`) and says "not orthogonal" below
+    -DECISION_TOL ||T|| ||S||. method="direct" runs the certified scan of
+    the direct radius method with the spectral norm (r capped at
+    2 ||T|| / ||S||, beyond which the inequality is automatic) and says
+    "not orthogonal" below -DECISION_TOL ||T||^2; it shares no decision
+    logic with the closed form. Verdicts within those bands of the exact
+    threshold may go either way, and so may a near-tie of the top two
+    singular values within the tie rule of the closed form.
     """
     eps = _validate_eps(epsilon)
+    if method not in ("closed-form", "direct"):
+        raise ValueError("method must be 'closed-form' or 'direct'")
     T, S, _, _ = _unit_pair(T, S)
     if not (T.any() and S.any()):
         return True
-    return _scan_minimum(T, S, eps, "sigma")[0]
+    if method == "direct":
+        return _scan_minimum(T, S, eps, "sigma")[0]
+    c, unit = _bj_crawford(T, S)
+    return bool(eps * unit - c >= -DECISION_TOL * unit)

@@ -27,6 +27,7 @@ from numradius import (
     is_bj_orthogonal,
     is_omega_orthogonal,
     min_epsilon,
+    min_epsilon_bj,
     numerical_radius,
     omega_derivative,
     oracle,
@@ -182,6 +183,126 @@ def test_decider_route_agreement():
         agree += a == b
     ok = kept == 200 and agree == kept
     assert _check(ok, f"derivative vs direct verdicts agree on {agree}/{kept} draws, n=2..6")
+
+
+# ---------------------------------------------------------------------------
+# the two spectral-norm routes: closed form and direct scan
+
+
+def _bj_pair(gen, k):
+    """Draw k of a seeded stream: n = 2..5, and T generic, unitary, with a
+    two-fold top singular value, or Hermitian, in turn; S generic."""
+    n = 2 + (k // 4) % 4
+    if k % 4 == 0:
+        T = gen.matrix(n)
+    elif k % 4 == 1:
+        T = gen.unitary(n)
+    elif k % 4 == 2:
+        U, s, Vh = np.linalg.svd(gen.matrix(n))
+        s[1] = s[0]
+        T = (U * s) @ Vh
+    else:
+        T = gen.hermitian(n)
+    return T, gen.matrix(n)
+
+
+def _bj_witness(T, S, eps, thetas, rs):
+    """min of (||T + r e^{i theta} S||^2 - ||T||^2 + 2 eps r ||T|| ||S||) / ||T||^2
+    over a (theta, r) grid, norms from numpy's SVD."""
+    nT, nS = np.linalg.norm(T, 2), np.linalg.norm(S, 2)
+    lam = (np.asarray(rs)[None, :] * np.exp(1j * np.asarray(thetas))[:, None]).ravel()
+    F = np.linalg.norm(T + lam[:, None, None] * S, 2, axis=(1, 2)) ** 2 - nT**2
+    return float((F + 2.0 * eps * np.abs(lam) * nT * nS).min()) / nT**2
+
+
+def test_bj_route_agreement():
+    # both routes at eps*_BJ +- 0.02 on 200 draws; top spaces of dimension
+    # 1 (generic, Hermitian), 2 (two-fold) and n (unitary)
+    gen = oracle.generators(612)
+    checked = agree = 0
+    for k in range(200):
+        T, S = _bj_pair(gen, k)
+        estar = min_epsilon_bj(T, S)
+        for eps in (estar - 0.02, estar + 0.02):
+            if not 0.0 <= eps < 1.0:
+                continue
+            checked += 1
+            a = is_bj_orthogonal(T, S, eps, method="closed-form")
+            agree += a == is_bj_orthogonal(T, S, eps, method="direct") == (eps > estar)
+    assert _check(
+        checked >= 300 and agree == checked,
+        f"BJ closed form vs direct scan agree on {agree}/{checked} verdicts, 200 draws",
+    )
+
+
+def _near_tie_pair(delta):
+    """sigma = (1, 1 - delta, 0.3), S = U diag(1, -1, 2) W* on the same
+    singular vectors: eps*_BJ = 1/2 on the simple top space, 0 on the merged
+    one (0 lies in W(diag(1, -delta - 1)))."""
+    gen = oracle.generators(77)
+    U, W = gen.unitary(3), gen.unitary(3)
+    T = U @ np.diag([1.0, 1.0 - delta, 0.3]) @ W.conj().T
+    return T, U @ np.diag([1.0, -1.0, 2.0]) @ W.conj().T
+
+
+def test_bj_near_tie_of_the_top_singular_values():
+    # at eps = 1/4 the violation sits at lam = -r, r about delta / 2, with
+    # depth about delta / 2 ||T||^2: the closed form jumps to "orthogonal"
+    # once delta is inside its tie rule (1 - DECISION_TOL / 2), the scan
+    # once the depth is inside its band (DECISION_TOL ||T||^2)
+    ok_all = True
+    for delta, closed, direct in ((1e-3, False, False), (1e-9, False, True), (1e-12, True, True)):
+        T, S = _near_tie_pair(delta)
+        F = _bj_witness(T, S, 0.25, [math.pi], np.geomspace(1e-2, 1e2, 201) * delta)
+        ok = (
+            is_bj_orthogonal(T, S, 0.25) is closed
+            and is_bj_orthogonal(T, S, 0.25, method="direct") is direct
+            and min_epsilon_bj(T, S) == pytest.approx(0.0 if closed else 0.5, abs=1e-9)
+            and -0.6 * delta < F < -0.4 * delta
+        )
+        ok_all &= _check(ok, f"near tie delta={delta:g}: closed {closed}, direct {direct}, "
+                             f"deepest F = {F / 1e-9:.3g} DECISION_TOL ||T||^2")
+    # delta = 1e-6: the closed form finds the violation (about 500 times the
+    # scan's band); test_bj_scan_misses_past_its_caps holds the scan's answer
+    T, S = _near_tie_pair(1e-6)
+    F = _bj_witness(T, S, 0.25, [math.pi], np.geomspace(1e-8, 1e-4, 201))
+    ok_all &= _check(
+        not is_bj_orthogonal(T, S, 0.25) and F < -100e-9,
+        f"near tie delta=1e-6: closed form not orthogonal, F = {F / 1e-9:.3g} DECISION_TOL",
+    )
+    assert ok_all
+
+
+def _scan_miss_pair():
+    """Draw 43 of `_bj_pair` with seed 12 (Hermitian T, n = 4), at
+    eps = eps*_BJ - 2e-4."""
+    gen = oracle.generators(12)
+    for k in range(44):
+        T, S = _bj_pair(gen, k)
+    return T, S, min_epsilon_bj(T, S) - 2e-4
+
+
+def test_bj_closed_form_is_right_where_the_scan_gives_up():
+    # the worst direction from the SVD alone: T v = ||T|| u, theta = pi - arg(u* S v)
+    T, S, eps = _scan_miss_pair()
+    U, _, Vh = np.linalg.svd(T)
+    theta = math.pi - np.angle(np.vdot(U[:, 0], S @ Vh[0].conj()))
+    r = np.geomspace(1e-6, 1e-2, 201) * np.linalg.norm(T, 2) / np.linalg.norm(S, 2)
+    F = _bj_witness(T, S, eps, theta + np.linspace(-0.02, 0.02, 41), r)
+    assert _check(
+        not is_bj_orthogonal(T, S, eps) and F < -10e-9,
+        f"closed form: not orthogonal at eps*-2e-4; witness F = {F / 1e-9:.3g} DECISION_TOL ||T||^2",
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="the direct scan stops at its node and ray caps "
+                                       "and falls back to the best point it evaluated")
+def test_bj_scan_misses_past_its_caps():
+    # both pairs hold violations of more than 10 DECISION_TOL ||T||^2 (the
+    # two tests above); the scan says "orthogonal"
+    T, S, eps = _scan_miss_pair()
+    assert not is_bj_orthogonal(T, S, eps, method="direct")
+    assert not is_bj_orthogonal(*_near_tie_pair(1e-6), 0.25, method="direct")
 
 
 # ---------------------------------------------------------------------------

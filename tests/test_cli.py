@@ -232,6 +232,45 @@ def test_bj_ortho_verdict(capsys):
     assert "ORTHOGONAL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["closed-form", "direct"])
+def test_bj_ortho_methods(method, capsys):
+    # [2,0;0,0] vs [1,1;0,1]: eps* = |u* S v| / ||S|| = 1 / ||S|| = 0.618...
+    base = ["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--format", "json"]
+    estar = 2.0 / (1.0 + math.sqrt(5.0))
+    for eps, want in ((0.3, False), (0.7, True)):
+        assert main(base + ["--eps", str(eps), "--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["orthogonal"] is want
+        assert doc["epsilon"] == eps
+        assert doc["method"] == method
+        if method == "closed-form":
+            assert doc["epsilon_star"] == pytest.approx(estar, abs=1e-11)
+        else:
+            # the direct scan reports its verdict only, no threshold
+            assert "epsilon_star" not in doc
+
+
+def test_bj_ortho_defaults_to_the_closed_form(capsys):
+    assert main(["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict: NOT ORTHOGONAL"
+    assert lines[2] == "epsilon-star: 0.61803398875"
+    assert lines[3] == "method: closed-form"
+
+
+def test_bj_ortho_direct_text_output(capsys):
+    argv = ["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.7"]
+    assert main(argv + ["--method", "direct"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["verdict: ORTHOGONAL", "epsilon: 0.7", "method: direct"]
+
+
+def test_bj_ortho_bad_method_exits_2(capsys):
+    argv = ["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.3"]
+    assert main(argv + ["--method", "derivative"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_oracle_scan_output(capsys):
     rc = main(
         ["oracle-scan", "--t", "[1i,0;0,0]", "--s", "[0,1;0,-1]", "--eps", "0", "--grid", "32"]

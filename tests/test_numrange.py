@@ -654,6 +654,32 @@ def test_radius_of_a_generic_n64_matrix_solves_few_angles(monkeypatch):
         assert 0 < sum(rows) <= 64
 
 
+def test_radius_enclosure_reads_the_cached_sweep(monkeypatch):
+    # after numerical_radius, the 256-angle enclosure of a generic n = 64 T
+    # finds every angle it needs solved in T's cached 1024-angle sweep, and
+    # returns the bits of a call on a cold cache
+    rows = []
+    solve = numrange._extremes_at
+
+    def counting(T, idx, grid):
+        rows.append(len(idx))
+        return solve(T, idx, grid)
+
+    monkeypatch.setattr(numrange, "_extremes_at", counting)
+    gen = oracle.generators(4243)
+    for _ in range(3):
+        T = linalg.as_matrix(gen.matrix(64))
+        monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+        monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+        cold = [radius_enclosure(T, grid) for grid in (256, 1024)]
+        numerical_radius(T)
+        rows.clear()
+        warm = radius_enclosure(T, 256)
+        assert sum(rows) == 0
+        assert warm == cold[0]
+        assert radius_enclosure(T, 1024) == cold[1]
+
+
 def _radius_calls(T, c):
     lower, upper = radius_enclosure(c * T, 64)
     return [numerical_radius(c * T, c * 1e-10).omega, crawford_number(c * T, c * 1e-10), lower, upper]

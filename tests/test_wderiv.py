@@ -15,6 +15,7 @@ from numradius.wderiv import (
     is_bj_orthogonal,
     is_omega_orthogonal,
     min_epsilon,
+    min_epsilon_bj,
     omega_derivative,
     semi_inner,
 )
@@ -495,6 +496,46 @@ def test_bj_pinned_verdicts():
     assert is_bj_orthogonal(T24, S24, 0.0)
     assert not is_bj_orthogonal(T24, T24, 0.0)  # self pair fails at lambda = -1
     assert is_bj_orthogonal(np.zeros((2, 2)), S24, 0.0)
+
+
+def test_min_epsilon_bj_pinned_values():
+    # a simple top singular value T v = ||T|| u gives |u* S v| / ||S||
+    assert min_epsilon_bj(T25, S25) == pytest.approx(2.0 / (1.0 + SQ5), abs=1e-12)
+    assert min_epsilon_bj(T24, S24) == 0.0
+    assert min_epsilon_bj(T24, T24) == pytest.approx(1.0, abs=1e-12)
+    assert min_epsilon_bj(np.zeros((2, 2)), S24) == 0.0
+    assert min_epsilon_bj(T24, np.zeros((2, 2))) == 0.0
+    # T = I: every vector is top, B = S, and eps* is c(S) / ||S||
+    S = np.diag([2.0, 1.0 + 1j])
+    assert min_epsilon_bj(np.eye(2), S) == pytest.approx(
+        numrange.crawford_number(S) / 2.0, abs=1e-10
+    )
+    assert min_epsilon_bj(np.eye(2), np.diag([1.0, -1.0])) == 0.0
+    for method in ("closed-form", "direct"):
+        assert is_bj_orthogonal(T25, S25, 0.65, method)
+        assert not is_bj_orthogonal(T25, S25, 0.6, method)
+    with pytest.raises(ValueError, match="method"):
+        is_bj_orthogonal(T25, S25, 0.5, "derivative")
+
+
+def test_min_epsilon_bj_symmetries():
+    # 2^k scaling of T and S: the same bits; unitary similarity and
+    # rotation of S: within 1e-6; generic, unitary (every singular value
+    # top) and Hermitian T
+    gen = oracle.generators(913)
+    rng = np.random.default_rng(914)
+    for k in range(24):
+        n = 2 + k % 4
+        T = (gen.matrix, gen.unitary, gen.hermitian)[k % 3](n)
+        S = gen.matrix(n)
+        estar = min_epsilon_bj(T, S)
+        for i, j in rng.integers(-40, 41, size=(3, 2)).tolist():
+            assert min_epsilon_bj(2.0**i * T, 2.0**j * S) == estar, (k, i, j)
+        U = gen.unitary(n)
+        Uh = U.conj().T
+        assert abs(min_epsilon_bj(U @ T @ Uh, U @ S @ Uh) - estar) <= 1e-6, k
+        rot = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        assert abs(min_epsilon_bj(T, rot * S) - estar) <= 1e-6, k
 
 
 def test_bj_norm_formula_value():
