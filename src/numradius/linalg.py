@@ -13,9 +13,15 @@ All public functions treat matrices as immutable values: inputs are
 never modified and returned arrays are marked read-only, so results can
 be shared freely across threads.
 
+Scale is handled once, on entry: every public call that computes with a
+matrix takes it through `_as_unit`, an exact division by a power of two,
+and multiplies its answer back. The private kernels see unit-scaled
+input only, so no square they take (T*T, omega^2, a 2x2 discriminant)
+under- or overflows at any scale.
+
 Eigenvalues come from LAPACK via numpy, except 2x2 extremes, which
-`_extremes` and numrange's scalar golden search take in closed form;
-the private kernels assume validated, Hermitian input.
+`_eig2` takes in closed form for stacks and scalars alike; the private
+kernels assume validated, Hermitian, unit-scaled input.
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ __all__ = [
 ]
 
 MAX_DIM = 64
-
-# squares in this range neither over- nor underflow (`_extremes`)
-_TINY = 2.0**-800
-_HUGE = 2.0**800
 
 
 class MatrixError(ValueError):
@@ -116,6 +118,16 @@ def as_matrix(obj) -> np.ndarray:
     return _freeze(A)
 
 
+def _as_unit(obj) -> tuple[np.ndarray, float]:
+    """(``as_matrix(obj)`` / s, s), s the power of two that brings the
+    largest entry into [0.5, 1), kept in [2^-1000, 2^1023] (1.0 for zero):
+    an exact division. Every public call that computes with a matrix enters
+    here, and multiplies its answer back by s."""
+    T = as_matrix(obj)
+    s = 2.0 ** min(max(math.frexp(float(np.abs(T).max()))[1], -1000), 1023)
+    return (T, s) if s == 1.0 else (_freeze(T / s), s)
+
+
 def _as_vector(obj, *, name: str = "vector") -> np.ndarray:
     v = np.array(obj, dtype=np.complex128, copy=True).reshape(-1)
     if v.size == 0 or v.size > MAX_DIM:
@@ -171,63 +183,60 @@ def herm_eig_max(H) -> tuple[float, np.ndarray]:
         If an entry of ``H`` deviates from its adjoint's by more than
         1e-12 times the Frobenius norm of ``H``.
     """
-    H = as_matrix(H)
+    H, s = _as_unit(H)
     dev = float(np.abs(H - np.conj(H.T)).max())
     if dev > 1e-12 * float(np.linalg.norm(H)):
-        raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+        raise NonHermitianError(f"matrix deviates from Hermitian by {dev * s:.3e}")
     w, V = np.linalg.eigh(H)
-    return float(w[-1]), _freeze(np.ascontiguousarray(V[:, -1]))
+    return s * float(w[-1]), _freeze(np.ascontiguousarray(V[:, -1]))
+
+
+def _eig2(m, d, br, bi):
+    """(smallest, largest) eigenvalue m -/+ sqrt(d^2 + br^2 + bi^2) of the
+    Hermitian [[m + d, b], [conj b, m - d]], b = br + i bi, its squares
+    taken term by term. Floats and arrays round alike, so the scalar
+    golden search and the batched sweeps share every bit."""
+    q = d * d + br * br + bi * bi
+    rad = math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
+    return m - rad, m + rad
+
+
+def _rot2(T) -> list:
+    """`_eig2_rot`'s coefficients of a 2x2 T (or a stack): the real and
+    imaginary parts of (t00 + t11, t00 - t11, t01 + t10, t01 - t10) / 2."""
+    a, b, c, d = T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1]
+    return [x for w in (a + d, a - d, b + c, b - c) for x in (0.5 * w.real, 0.5 * w.imag)]
+
+
+def _eig2_rot(c, zr, zi):
+    """`_eig2` of H = (z T + (z T)*) / 2, z = zr + i zi, from T's `_rot2`
+    coefficients by real products alone (numpy's complex product may fuse
+    a multiply-add where Python's does not)."""
+    sr, si, dr, di, ur, ui, wr, wi = c
+    return _eig2(zr * sr - zi * si, zr * dr - zi * di, zr * ur - zi * ui, zr * wi + zi * wr)
 
 
 def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(smallest, largest) eigenvalues along a (K, n, n) Hermitian stack:
-    LAPACK, or for 2x2 the closed form (mean of the diagonal +/- half the
-    discriminant). When the squares of the largest discriminant would leave
-    [2^-800, 2^800], they are taken on the stack divided by `_pow2`
-    instead, so that they neither over- nor underflow; inside that range
-    the two agree bit for bit, wherever the squares are normal numbers.
-    Scaling every stack would give the same bits but costs about 3.5 us
-    more per call (one matrix); most calls are single 2x2 Gram matrices
-    of the BJ scan, and `validate` ran 2.7 % slower in process (median of
-    5 seeds, 40 instances each; 2 cores, numpy 2.4.6 on OpenBLAS)."""
+    LAPACK, or for 2x2 the closed form `_eig2`."""
     if H.shape[-1] == 2:
-        a = H[:, 0, 0].real
-        d = H[:, 1, 1].real
-        b = H[:, 0, 1]
-        m = 0.5 * (a + d)
-        with np.errstate(over="ignore"):
-            q = 0.25 * (a - d) ** 2 + b.real**2 + b.imag**2
-        if _TINY <= q.max() <= _HUGE:
-            rad = np.sqrt(q)
-        else:
-            s = _pow2(H)
-            rad = s * np.sqrt(0.25 * ((a - d) / s) ** 2 + (b.real / s) ** 2 + (b.imag / s) ** 2)
-        return m - rad, m + rad
+        a, d, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
+        return _eig2(0.5 * (a + d), 0.5 * (a - d), b.real, b.imag)
     w = np.linalg.eigvalsh(H)
     return w[:, 0], w[:, -1]
 
 
-def _pow2(T: np.ndarray) -> float:
-    """The power of two that brings the largest entry of T into [0.5, 1);
-    1.0 for the zero matrix, and at least 2^-1000 (the power for a
-    subnormal entry would overflow). Dividing by it is exact."""
-    return 2.0 ** max(math.frexp(float(np.abs(T).max()))[1], -1000)
-
-
 def _spectral_norm(T: np.ndarray) -> float:
-    """Largest singular value of a validated T, via the top eigenvalue of
-    T*T, with T first divided by `_pow2` so that T*T neither underflows
-    nor overflows: the result is the unscaled one wherever that does not
-    under- or overflow, and every nonzero T has a positive norm."""
-    s = _pow2(T)
-    A = T / s
-    lam = float(np.linalg.eigvalsh(A.conj().T @ A)[-1])
-    return s * math.sqrt(max(lam, 0.0))
+    """Largest singular value of a validated, unit-scaled T, via the top
+    eigenvalue of T*T."""
+    lam = float(np.linalg.eigvalsh(T.conj().T @ T)[-1])
+    return math.sqrt(max(lam, 0.0))
 
 
 def spectral_norm(T) -> float:
     """Largest singular value, via the top eigenvalue of T*T."""
-    return _spectral_norm(as_matrix(T))
+    T, s = _as_unit(T)
+    return s * _spectral_norm(T)
 
 
 def rank_one(x, y) -> np.ndarray:

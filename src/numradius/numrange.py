@@ -37,6 +37,9 @@ each golden step makes one batched eigensolve (`linalg._extremes`) over
 every bracket still open, possibly of several matrices, with results bit
 for bit those of the scalar search. Sweep results are memoized per
 matrix because derivative and orthogonality code re-reads them heavily.
+Every public call divides T by a power of two on entry (`linalg._as_unit`)
+and multiplies its answer back; c T for a power of two c shares T's cached
+sweep and gives c times T's answers bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _LRU, _extremes, _freeze, _hermitian_rot, _pow2, _spectral_norm, as_matrix
+from .linalg import (
+    _LRU, _as_unit, _eig2_rot, _extremes, _freeze, _hermitian_rot, _rot2, _spectral_norm
+)
 
 __all__ = [
     "GRID_DEFAULT",
@@ -245,27 +250,13 @@ class _Profile:
 
 
 def _lammax_fn(T: np.ndarray):
-    """Fast scalar theta -> lambda_max(H_theta(T)) for golden refinement."""
-    n = T.shape[0]
-    if n == 1:
-        t00 = complex(T[0, 0])
-
-        def f1(theta: float) -> float:
-            return (cmath.exp(1j * theta) * t00).real
-
-        return f1
-    if n == 2:
-        t00 = complex(T[0, 0])
-        t11 = complex(T[1, 1])
-        t01 = complex(T[0, 1])
-        t10 = complex(T[1, 0])
+    """Scalar theta -> lambda_max(H_theta(T)), the sweep's bits; closed form for n = 2."""
+    if T.shape[0] == 2:
+        c = [float(x) for x in _rot2(T)]
 
         def f2(theta: float) -> float:
             e = cmath.exp(1j * theta)
-            a = (e * t00).real
-            d = (e * t11).real
-            b = 0.5 * (e * t01 + (e * t10).conjugate())
-            return 0.5 * (a + d) + math.hypot(0.5 * (a - d), abs(b))
+            return _eig2_rot(c, e.real, e.imag)[1]
 
         return f2
 
@@ -292,10 +283,14 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
 
     On an even grid, angle k + grid/2 takes lambda_min = -lambda_max and
     lambda_max = -lambda_min of angle k. A (..., n, n) stack of matrices
-    gives (..., grid) curves from one batched eigensolve.
+    gives (..., grid) curves from one batched eigensolve. n = 2 solves every
+    angle in closed form, bit for bit the scalar `_lammax_fn`.
     """
+    n = T.shape[-1]
+    if n == 2:
+        z = np.exp(1j * (np.arange(grid) * (_TWO_PI / grid)))
+        return _eig2_rot([x[..., None] for x in _rot2(T)], z.real, z.imag)
     H = _solved_stack(T, grid)
-    n = H.shape[-1]
     lo, hi = _extremes(H.reshape(-1, n, n))
     lo = lo.reshape(H.shape[:-2])
     hi = hi.reshape(H.shape[:-2])
@@ -371,11 +366,8 @@ class _Sweep:
         self.h = _TWO_PI / grid
         self._lock = threading.Lock()
         n = T.shape[0]
-        # allowance for the rounding of one computed eigenvalue of H_theta,
-        # from ||T||_F taken on T / s so that it neither over- nor underflows
-        s = _pow2(T)
-        A = T / s
-        self.rho = 8.0 * n * _EPS * (s * math.sqrt(np.vdot(A, A).real))
+        # allowance for the rounding of one computed eigenvalue of H_theta
+        self.rho = 8.0 * n * _EPS * math.sqrt(np.vdot(T, T).real)
         # solved angles; on an even grid angle m is the antipode of angle 0,
         # on an odd one it wraps to angle 0
         m = self._m = grid // 2 if grid % 2 == 0 else grid
@@ -705,9 +697,8 @@ def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10)
     """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol),
     with one sweep per (matrix bytes, grid) whatever the tol.
 
-    ``tol`` is the absolute golden tolerance on the radius; None refines
-    to 1e-10 ||T|| (a golden width of 1e-10 rad), so that the profile of
-    c T is that of T scaled by c, bit for bit when c is a power of two."""
+    ``tol`` is the golden tolerance on the radius of this unit-scaled T;
+    None refines to 1e-10 ||T|| (a golden width of 1e-10 rad)."""
     key = (T.tobytes(), T.shape[0], int(grid))
     hit = _PROFILE_CACHE.get(key + (tol,))
     if hit is not None:
@@ -799,14 +790,14 @@ def numerical_radius(T, tol: float = 1e-10) -> RadiusResult:
     The zero matrix returns omega = 0, theta_star = 0, maximizer = e1.
     """
     tol = _validate_tol(tol)
-    T = as_matrix(T)
-    p = _profile(T, GRID_DEFAULT, tol)
+    T, scale = _as_unit(T)
+    p = _profile(T, GRID_DEFAULT, tol / scale)
     upper = p.omega + p.lip * p.width
     return RadiusResult(
-        omega=p.omega,
+        omega=scale * p.omega,
         theta_star=p.theta_star % _TWO_PI,
         maximizer=p.maximizer,
-        enclosure=(p.omega, upper),
+        enclosure=(scale * p.omega, scale * upper),
     )
 
 
@@ -821,8 +812,8 @@ def crawford_number(T, tol: float = 1e-10) -> float:
     clearly inside W(T) and 0.0 returns before any arc is solved.
     """
     tol = _validate_tol(tol)
-    T = as_matrix(T)
-    p = _profile(T, GRID_DEFAULT, tol)
+    T, scale = _as_unit(T)
+    p = _profile(T, GRID_DEFAULT, tol / scale)
     if p.is_zero:
         return 0.0
     h = _TWO_PI / p.grid
@@ -854,7 +845,7 @@ def crawford_number(T, tol: float = 1e-10) -> float:
             (-T)[None], [0] * len(a), a, b, p._golden, seeds, negate=True
         ):
             best = max(best, fb)
-    return max(0.0, best)
+    return scale * max(0.0, best)
 
 
 def boundary_points(T, count: int) -> list[complex]:
@@ -867,22 +858,23 @@ def boundary_points(T, count: int) -> list[complex]:
     count = operator.index(count)
     if count < 3:
         raise ValueError("count must be at least 3")
-    T = as_matrix(T)
+    T, scale = _as_unit(T)
     H = _solved_stack(T, count)
     _, V = np.linalg.eigh(H)
     X = V[:, :, -1]
     if H.shape[0] < count:
         X = np.concatenate((X, V[:, :, 0]))
-    return [complex(z) for z in np.einsum("ki,ij,kj->k", X.conj(), T, X)]
+    return [scale * complex(z) for z in np.einsum("ki,ij,kj->k", X.conj(), T, X)]
 
 
 def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
     """All support angles attaining the radius within tol, with vectors.
 
     Returns one entry per grid-distinct angle whose lambda_max(H_theta)
-    reaches omega(T) - tol, plus the refined optimum itself. When the
-    top eigenspace at an angle is degenerate a single basis vector is
-    reported for it.
+    reaches omega(T) - tol, plus the refined optimum itself, read off the
+    profile refined to tol / 100 (the default reads `numerical_radius`'s
+    default profile). When the top eigenspace at an angle is degenerate a
+    single basis vector is reported for it.
 
     Raises
     ------
@@ -890,11 +882,11 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
         For the zero matrix (every vector trivially maximizes).
     """
     tol = _validate_tol(tol)
-    T = as_matrix(T)
+    T, scale = _as_unit(T)
     if not T.any():
         raise DegenerateMatrixError("zero matrix: every unit vector is a maximizer")
-    p = _profile(T)
-    cut = p.omega - tol
+    p = _profile(T, GRID_DEFAULT, tol / 100.0 / scale)
+    cut = p.omega - tol / scale
     cand = [float(th) for th, v in p.peaks_above(cut) if v >= cut]
     cand.extend(float(th) for th, v in zip(p.thetas, p.sweep.above(cut)) if v >= cut)
     cand.sort()
@@ -910,7 +902,7 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
     for th in angles:
         _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * th)))
         pairs.append((th % _TWO_PI, _freeze(np.ascontiguousarray(V[:, -1]))))
-    return MaximizerSet(pairs=tuple(pairs), omega=p.omega)
+    return MaximizerSet(pairs=tuple(pairs), omega=scale * p.omega)
 
 
 def radius_enclosure(T, grid: int) -> tuple[float, float]:
@@ -927,14 +919,12 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     lower is the full sweep's maximum bit for bit. When grid divides 1024
     and T's 1024-angle sweep is cached (by `numerical_radius` or any other
     call that read T's profile), the angles it has solved are read from
-    it: the same bits (`_Sweep`). The rounding term is half the sweep's
-    allowance rho, taken on T divided by a power of two, so it does not
-    overflow.
+    it: the same bits (`_Sweep`).
     """
     grid = operator.index(grid)
     if grid < 8:
         raise ValueError("grid must be at least 8")
-    T = as_matrix(T)
+    T, scale = _as_unit(T)
     if not T.any():
         return (0.0, 0.0)
     shared = None
@@ -944,4 +934,4 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     lower = sweep.top()
     # 4 n eps ||T||_F is half the sweep's allowance rho
     upper = lower / math.cos(math.pi / grid) + 0.5 * sweep.rho
-    return (lower, upper)
+    return (scale * lower, scale * upper)

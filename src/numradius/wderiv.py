@@ -31,8 +31,9 @@ implements both characterizations independently: the "derivative"
 method locates the minimizing angle, the "direct" method minimizes the
 margin of the defining inequality over the whole lam plane, by golden
 section along rays. The two routes share no decision logic, so each
-validates the other. The deciders divide T and S by powers of two first
-(`_unit_pair`), so no square under- or overflows at any scale.
+validates the other. Every public call divides T and S by powers of two
+a and b on entry (`_unit_pair`) and multiplies its answers back: by a b
+for a derivative or its tolerance, by a / b for a step r.
 
 The worst direction comes from the active-support identity
 
@@ -67,9 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numrange
-from .linalg import (
-    _LRU, DimensionError, _extremes, _hermitian_rot, _pow2, _spectral_norm, as_matrix
-)
+from .linalg import _LRU, DimensionError, _as_unit, _extremes, _hermitian_rot, _spectral_norm
 
 __all__ = [
     "DerivativeResult",
@@ -146,22 +145,14 @@ class OrthoReport:
 # difference quotients
 
 
-def _pair(T, S):
-    T = as_matrix(T)
-    S = as_matrix(S)
+def _unit_pair(T, S):
+    """(T / a, S / b, a, b), each matrix through `linalg._as_unit`."""
+    (T, a), (S, b) = _as_unit(T), _as_unit(S)
     if S.shape != T.shape:
         raise DimensionError(
             f"matrices must share a dimension, got {T.shape[0]} and {S.shape[0]}"
         )
-    return T, S
-
-
-def _unit_pair(T, S):
-    """(T / a, S / b, a, b) for the powers of two a, b of `linalg._pow2`:
-    exact divisions that keep every square the deciders take in range."""
-    T, S = _pair(T, S)
-    a, b = _pow2(T), _pow2(S)
-    return T / a, S / b, a, b
+    return T, S, a, b
 
 
 def _validate_theta(theta: float) -> float:
@@ -173,14 +164,15 @@ def _validate_theta(theta: float) -> float:
 
 def diff_quotient(T, S, theta: float, r: float) -> float:
     """Single forward quotient (omega^2(T + r e^{i theta} S) - omega^2(T)) / 2r."""
-    T, S = _pair(T, S)
+    T, S, a, b = _unit_pair(T, S)
     theta = _validate_theta(theta)
-    r = float(r)
+    r = float(r) / a * b  # in the units of the unit pair
     if not (r > 0.0) or not math.isfinite(r):
-        raise ValueError("step r must be positive and finite")
+        raise ValueError("step r must be positive and finite at the scale of T and S")
     w0 = numrange._rel_profile(T).omega
-    wr = numrange._rel_profile(T + (r * cmath.exp(1j * theta)) * S).omega
-    return (wr * wr - w0 * w0) / (2.0 * r)
+    M, c = _as_unit(T + (r * cmath.exp(1j * theta)) * S)
+    wr = c * numrange._rel_profile(M).omega
+    return a * (b * ((wr * wr - w0 * w0) / (2.0 * r)))
 
 
 def _radius_near(
@@ -318,19 +310,24 @@ def omega_derivative(T, S, theta: float, tol: float = 1e-8) -> DerivativeResult:
     The normalization by 2 makes the value equal to
     omega(T) * d/dr omega(T + r e^{i theta} S) whenever omega(T) > 0.
     """
-    T, S = _pair(T, S)
+    T, S, a, b = _unit_pair(T, S)
     theta = _validate_theta(theta)
     tol = numrange._validate_tol(tol)
-    return _quotient_limit(T, S, theta, tol)
+    d = _quotient_limit(T, S, theta, tol / a / b)
+    trace = tuple((r / b * a, a * (b * q)) for r, q in d.quotient_trace)
+    return DerivativeResult(a * (b * d.value), d.theta, trace, d.converged)
 
 
 def semi_inner(S, T) -> float:
-    """Semi-inner product [S, T]: the derivative value at angle zero.
+    """Semi-inner product [S, T]: the derivative value at angle zero, to
+    the tolerance 1e-8 ||T|| ||S||.
 
     Note the argument order: the first argument is the direction, the
     second the base point, matching the usual bracket convention.
     """
-    return omega_derivative(T, S, 0.0).value
+    T, S, a, b = _unit_pair(T, S)
+    unit = numrange._rel_profile(T).lip * numrange._rel_profile(S).lip
+    return a * (b * _quotient_limit(T, S, 0.0, 1e-8 * unit).value)
 
 
 def derivative_via_maximizers(T, S, theta: float) -> float:
@@ -340,10 +337,10 @@ def derivative_via_maximizers(T, S, theta: float) -> float:
     maximizing vectors x of T, phi being the support angle at which x
     attains omega(T) (see `_ActiveSet`); no difference quotient is taken.
     """
-    T, S = _pair(T, S)
+    T, S, a, b = _unit_pair(T, S)
     theta = _validate_theta(theta)
     wT = numrange._rel_profile(T).omega
-    return wT * _ActiveSet(T, S).settle(theta)[0] if wT > 0.0 else 0.0
+    return a * (b * (wT * _ActiveSet(T, S).settle(theta)[0])) if wT > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +526,22 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     ``tol`` of `omega_derivative`, must agree with it within
     max(1e-5 ||T|| ||S||, 200 tol); there is no fallback, a disagreement
     raises ConvergenceError with both numbers."""
-    T, S = _pair(T, S)
-    tol = numrange._validate_tol(tol)
+    T, S, a, b = _unit_pair(T, S)
+    tol = numrange._validate_tol(tol) / a / b
     key = (T.tobytes(), S.tobytes(), tol, T.shape[0])
     hit = _INF_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = _inf_unit(T, S, tol)
+        _INF_CACHE.put(key, hit)
+    return a * (b * hit[0]), hit[1]
+
+
+def _inf_unit(T: np.ndarray, S: np.ndarray, tol: float) -> tuple[float, float]:
+    """`inf_derivative` of a pair from `_unit_pair`, to its tol."""
     pT = numrange._rel_profile(T)
     pS = numrange._rel_profile(S)
     if pT.omega == 0.0 or pS.omega == 0.0:
-        result = (0.0, 0.0)
-        _INF_CACHE.put(key, result)
-        return result
+        return (0.0, 0.0)
     ld = pT.lip * pS.lip  # the unit of D
     guard = max(1e-5 * ld, 200.0 * tol)
     active = _ActiveSet(T, S)
@@ -560,9 +561,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
             raise ConvergenceError(
                 "difference quotients failed to stabilize at the minimizing angle"
             )
-    result = (pT.omega * low, float(worst))
-    _INF_CACHE.put(key, result)
-    return result
+    return (pT.omega * low, float(worst))
 
 
 def min_epsilon(T, S) -> float:

@@ -582,9 +582,11 @@ def test_pruned_sweep_is_the_full_sweep_bit_for_bit(case):
     assert res.enclosure == (ref["omega"], ref["omega"] + ref["lip"] * ref["width"])
     assert crawford_number(T) == _full_crawford(T, ref)
     for tol in (1e-10, 1e-8, 1e-3):
+        # maximizers reads the profile refined to tol / 100
+        at = _full_profile(T, tol / 100)
         got = maximizers(T, tol)
-        want = _full_maximizers(T, ref, tol)
-        assert got.omega == ref["omega"]
+        want = _full_maximizers(T, at, tol)
+        assert got.omega == at["omega"]
         assert [th for th, _ in got] == [th for th, _ in want]
         assert [v.tobytes() for _, v in got] == [v.tobytes() for _, v in want]
     # read last: every peak within 2 ||T|| h of the grid maximum, refined
@@ -689,21 +691,27 @@ def _radius_calls(T, c):
 @pytest.mark.parametrize("base", ["diag-2", "generic-2", "generic-3", "generic-8"])
 def test_radius_calls_at_two_to_the_600(base, e):
     # the squares of the 2x2 closed form, ||T||_F in the rounding allowance
-    # and the enclosure's rounding term would over- or underflow at 2^+-600;
-    # n = 2 gives c times the c = 1 answers bit for bit, n = 3 and 8 (where
-    # LAPACK's own scaling is not exact) finite values within 1e-12, and no
+    # and LAPACK's own scaling (by a factor that is not a power of two)
+    # would act at 2^+-600; the calls divide T by a power of two first, so
+    # every n gives c times the c = 1 answers bit for bit, with no
     # RuntimeWarning anywhere (pytest turns it into an error)
     n = int(base[-1])
     T = np.diag([2.0, 0.0]) if base == "diag-2" else oracle.generators(5).matrix(n)
     T = linalg.as_matrix(T)
     c = 2.0**e
-    want = _radius_calls(T, 1.0)
-    got = _radius_calls(T, c)
-    if n == 2:
-        assert got == [c * x for x in want]
-    else:
-        assert all(math.isfinite(x) for x in got)
-        assert all(abs(x / c - w) <= 1e-12 * want[0] for x, w in zip(got, want))
+    assert _radius_calls(T, c) == [c * x for x in _radius_calls(T, 1.0)]
+
+
+def test_scalar_2x2_evaluator_is_the_sweep_bit_for_bit():
+    # the scalar closed form of the golden search and the batched sweep take
+    # the same formula (`linalg._eig2`) of the same real products
+    # (`linalg._eig2_rot`), so they agree at every grid angle
+    gen = oracle.generators(5)
+    thetas = (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
+    for _ in range(20):
+        T = linalg.as_matrix(gen.matrix(2))
+        f = _lammax_fn(T)
+        assert [f(t) for t in thetas] == _sweep_extremes(T, 1024)[1].tolist()
 
 
 def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):

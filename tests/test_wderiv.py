@@ -387,21 +387,27 @@ def test_quotient_disagreement_raises(monkeypatch):
 @pytest.mark.parametrize("c", [2.0**-20, 1.0, 2.0**20])
 def test_quotient_disagreement_raises_at_any_scale(monkeypatch, c):
     # a quotient limit 1e-3 ||T|| ||S|| off the support function, or one
-    # that wobbles by as much, is caught however small T is
+    # that wobbles by as much, is caught however small T is; the limit is
+    # taken on the pair divided by powers of two, in that pair's units, and
+    # c T is the same pair as T, so its cached answer is dropped first
     real = wderiv._quotient_limit
     gen = oracle.generators(64)
     T, S = c * gen.matrix(3), gen.matrix(3)
     unit = linalg.spectral_norm(T) * linalg.spectral_norm(S)
 
+    def gap(T, S):
+        return 1e-3 * linalg.spectral_norm(T) * linalg.spectral_norm(S)
+
     def off(*args):
         d = real(*args)
-        return dataclasses.replace(d, value=d.value + 1e-3 * unit)
+        return dataclasses.replace(d, value=d.value + gap(*args[:2]))
 
     def wobbles(*args):
         d = real(*args)
-        tail = ((d.quotient_trace[-1][0], d.value + 1e-3 * unit),)
+        tail = ((d.quotient_trace[-1][0], d.value + gap(*args[:2])),)
         return dataclasses.replace(d, quotient_trace=d.quotient_trace + tail, converged=False)
 
+    monkeypatch.setattr(wderiv, "_INF_CACHE", wderiv._LRU(8))
     monkeypatch.setattr(wderiv, "_quotient_limit", off)
     with pytest.raises(ConvergenceError, match="disagree"):
         inf_derivative(T, S, 1e-8 * unit)
