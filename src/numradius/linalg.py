@@ -217,13 +217,13 @@ def _eig2_rot(c, zr, zi):
 
 
 def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest, largest) eigenvalues along a (K, n, n) Hermitian stack:
+    """(smallest, largest) eigenvalues along a (..., n, n) Hermitian stack:
     LAPACK, or for 2x2 the closed form `_eig2`."""
     if H.shape[-1] == 2:
-        a, d, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
+        a, d, b = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1]
         return _eig2(0.5 * (a + d), 0.5 * (a - d), b.real, b.imag)
     w = np.linalg.eigvalsh(H)
-    return w[:, 0], w[:, -1]
+    return w[..., 0], w[..., -1]
 
 
 def _spectral_norm(T: np.ndarray) -> float:

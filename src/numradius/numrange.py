@@ -40,6 +40,11 @@ matrix because derivative and orthogonality code re-reads them heavily.
 Every public call divides T by a power of two on entry (`linalg._as_unit`)
 and multiplies its answer back; c T for a power of two c shares T's cached
 sweep and gives c times T's answers bit for bit.
+
+The radii of the perturbations T + r e^{i theta} S that ``wderiv`` takes
+are read through T's profile too (`_radius_near`): the support function
+of T + r e^{i theta} S is within r omega(S) of T's, so only the grid runs
+where T's is within 2 r omega(S) of omega(T) are searched.
 """
 
 from __future__ import annotations
@@ -150,51 +155,54 @@ class MaximizerSet:
 class _Profile:
     """Cached theta-sweep of one matrix: its support curves plus refined peaks.
 
-    Both are filled lazily. ``sweep``, shared by the profiles of every tol,
-    solves the curves as far as a caller reads them, and ``hi`` and ``lo``
-    are the whole curves. ``peaks_above`` refines the grid runs a peak of
-    a given value may come from, and ``peaks`` refines every run within
-    ``2 ||T|| h`` of the grid maximum."""
+    Both are filled lazily. ``sweep``, T's one sweep whatever the tol
+    (`_shared`), solves the curves as far as a caller reads them, and
+    ``sweep.full()`` gives the whole curves. ``peaks_above`` refines the
+    grid runs a peak of a given value may come from, and ``peaks`` refines
+    every run within ``2 ||T|| h`` of the grid maximum.
 
-    __slots__ = (
-        "T",
-        "n",
-        "grid",
-        "thetas",
-        "sweep",
-        "lip",
-        "omega",
-        "theta_star",
-        "maximizer",
-        "width",
-        "is_zero",
-        "_golden",
-        "_keep",
-        "_cut",
-        "_done",
-        "_peaks",
-        "_lock",
-    )
+    ``tol`` is the golden tolerance on the radius of this unit-scaled T;
+    None refines to 1e-10 ||T|| (a golden width of 1e-10 rad)."""
 
-    T: np.ndarray
-    n: int
-    grid: int
-    thetas: np.ndarray
-    sweep: _Sweep
-    lip: float
-    omega: float
-    theta_star: float
-    maximizer: np.ndarray
-    width: float
-    is_zero: bool
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.sweep.full()[1]
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.sweep.full()[0]
+    def __init__(self, T: np.ndarray, tol: float | None):
+        self.T = T
+        self.sweep, self.lip = sweep, lip = _shared(T)
+        self._lock = threading.Lock()
+        self._keep = self._cut = -math.inf
+        if not T.any():
+            self.omega = self.theta_star = self.width = 0.0
+            e1 = np.zeros(T.shape[0], dtype=np.complex128)
+            e1[0] = 1.0
+            self.maximizer = _freeze(e1)
+            self._peaks = [(0.0, 0.0)]
+            return
+        h = sweep.h
+        self._golden = 1e-10 if tol is None else tol / lip
+        self.width = min(self._golden, h)
+        # the grid maximum is at least the samples' and the spread at least
+        # theirs, so only a flat spread of samples needs the whole curve
+        flat = _FLAT * T.shape[0] * lip
+        c = sweep.samples
+        hi = sweep.full()[1] if float(c.max()) - float(c.min()) <= flat else None
+        omega_grid = sweep.top()
+        if hi is not None and omega_grid - float(hi.min()) <= flat:
+            # flat curve (a disk centred at 0): its local maxima are rounding
+            # noise, and the grid already resolves it
+            self._peaks = [(int(np.argmax(hi)) * h, omega_grid)]
+        else:
+            # grid values below a run that is refined may be unsolved (-inf):
+            # they end every such run and start none
+            self._keep = omega_grid - 2.0 * lip * h
+            self._cut = math.inf
+            self._done = np.zeros(sweep.grid, dtype=bool)
+            self._peaks = []
+        self.omega = max(v for _, v in self.peaks_above(omega_grid))
+        tie = 1e-12 * self.omega
+        self.theta_star = min(
+            th for th, v in self.peaks_above(self.omega - tie) if v >= self.omega - tie
+        )
+        _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * self.theta_star)))
+        self.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
     @property
     def peaks(self) -> list[tuple[float, float]]:
@@ -221,8 +229,8 @@ class _Profile:
         return self._peaks
 
     def _extend(self, level: float) -> None:
-        g = self.grid
         sweep = self.sweep
+        g = sweep.grid
         low = max(self._keep, min(level, level * math.cos(0.5 * sweep.h)) - 4.0 * sweep.rho)
         hi = sweep.above(low)
         s, e = np.array(_cyclic_local_max_groups(hi, low), dtype=np.intp).reshape(-1, 2).T
@@ -266,43 +274,32 @@ def _lammax_fn(T: np.ndarray):
     return fn
 
 
-def _solved_stack(T: np.ndarray, grid: int) -> np.ndarray:
-    """H_theta(T) at the angles 2 pi k / grid that a sweep has to solve.
+def _extremes_at(M: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of H_theta(M) at the angles ``thetas``,
+    broadcast against the stack axes of a matrix or (..., n, n) stack M.
 
-    H_{theta+pi} = -H_theta, so an even grid solves only its first half
-    and reads the second half off it; an odd grid has no antipodal pairs
-    and solves every angle. T may be a (..., n, n) stack; the angle axis
-    goes right before the matrix axes.
-    """
-    m = grid // 2 if grid % 2 == 0 else grid
-    return _hermitian_rot(T[..., None, :, :], np.exp(1j * (np.arange(m) * (_TWO_PI / grid))))
+    n = 2 takes the closed form `linalg._eig2_rot`, bit for bit the scalar
+    `_lammax_fn`; any other n one batched LAPACK eigensolve, bit for bit a
+    solve of each angle alone."""
+    z = np.exp(1j * np.asarray(thetas))
+    if M.shape[-1] == 2:
+        return _eig2_rot(_rot2(M), z.real, z.imag)
+    return _extremes(_hermitian_rot(M, z))
 
 
 def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(T) at theta_k = 2 pi k / grid.
 
-    On an even grid, angle k + grid/2 takes lambda_min = -lambda_max and
-    lambda_max = -lambda_min of angle k. A (..., n, n) stack of matrices
-    gives (..., grid) curves from one batched eigensolve. n = 2 solves every
-    angle in closed form, bit for bit the scalar `_lammax_fn`.
+    On an even grid with n != 2, angle k + grid/2 takes
+    lambda_min = -lambda_max and lambda_max = -lambda_min of angle k
+    (H_{theta+pi} = -H_theta). A (..., n, n) stack of matrices gives
+    (..., grid) curves from one `_extremes_at` call.
     """
-    n = T.shape[-1]
-    if n == 2:
-        z = np.exp(1j * (np.arange(grid) * (_TWO_PI / grid)))
-        return _eig2_rot([x[..., None] for x in _rot2(T)], z.real, z.imag)
-    H = _solved_stack(T, grid)
-    lo, hi = _extremes(H.reshape(-1, n, n))
-    lo = lo.reshape(H.shape[:-2])
-    hi = hi.reshape(H.shape[:-2])
-    if H.shape[-3] == grid:
+    m = grid // 2 if grid % 2 == 0 and T.shape[-1] != 2 else grid
+    lo, hi = _extremes_at(T[..., None, :, :], np.arange(m) * (_TWO_PI / grid))
+    if m == grid:
         return lo, hi
     return np.concatenate((lo, -hi), axis=-1), np.concatenate((hi, -lo), axis=-1)
-
-
-def _extremes_at(T: np.ndarray, idx: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of H_theta(T) at theta = 2 pi idx / grid,
-    bit for bit the values a whole sweep finds at those angles."""
-    return _extremes(_hermitian_rot(T[None], np.exp(1j * (idx * (_TWO_PI / grid)))))
 
 
 def _wedge(a, b, delta):
@@ -400,7 +397,7 @@ class _Sweep:
         ``lo`` and ``hi`` (H_{theta+pi} = -H_theta gives their antipodes).
         Angles that the ``finer`` sweep has solved are copied from it."""
         if self._finer is None:
-            wmin, wmax = _extremes_at(self.T, idx, self.grid)
+            wmin, wmax = _extremes_at(self.T, idx * self.h)
         else:
             f = self._finer
             with f._lock:
@@ -408,7 +405,7 @@ class _Sweep:
                 wmin, wmax = f.lo[at], f.hi[at]
             new = wmax == -math.inf
             if new.any():
-                wmin[new], wmax[new] = _extremes_at(self.T, idx[new], self.grid)
+                wmin[new], wmax[new] = _extremes_at(self.T, idx[new] * self.h)
         lo[idx], hi[idx] = wmin, wmax
         best = wmax.max()
         if self._m < self.grid:
@@ -610,14 +607,6 @@ def _golden_lanes(fb, a, b, width: float, xb, fbest) -> tuple[np.ndarray, np.nda
     return xb, fbest
 
 
-def _lammax_at(Ms: np.ndarray, owner, x) -> np.ndarray:
-    """lambda_max(H_{x[i]}(Ms[owner[i]])) for every i, rounded as the
-    golden searches of `_refine_peaks` round it."""
-    if Ms.shape[-1] <= 2:
-        return np.array([_lammax_fn(Ms[k])(t) for k, t in zip(owner, x)])
-    return _extremes(_hermitian_rot(Ms[np.asarray(owner)], np.exp(1j * np.asarray(x))))[1]
-
-
 def _refine_peaks(
     Ms: np.ndarray, owner, a, b, width: float, seeds, negate: bool = False
 ) -> list[tuple[float, float]]:
@@ -647,7 +636,7 @@ def _refine_peaks(
     own = np.asarray(owner)
 
     def fb(lanes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return sign * _lammax_at(Ms, own[lanes], x)
+        return sign * _extremes_at(Ms[own[lanes]], x)[1]
 
     xs, fs = _golden_lanes(
         fb, a, b, width, [x for x, _ in seeds], [v for _, v in seeds]
@@ -689,76 +678,95 @@ def _cyclic_local_max_groups(vals: np.ndarray, low: float = -math.inf) -> list[t
     return _true_runs(mask)
 
 
+def _refine_runs(
+    Ms: np.ndarray, curves: np.ndarray, cuts, width: float, negate: bool = False
+) -> np.ndarray:
+    """The largest value of each curve k, a grid sweep of
+    theta -> lambda_max(H_theta(Ms[k])) (its negation with ``negate``),
+    raised by golden-refining to bracket ``width`` every cyclic run of its
+    local maxima at or above ``cuts[k]``: every run of every curve in one
+    `_refine_peaks` call."""
+    g = curves.shape[-1]
+    h = _TWO_PI / g
+    owner, a, b, seeds = [], [], [], []
+    for k, (curve, cut) in enumerate(zip(curves, cuts)):
+        for s, e in _cyclic_local_max_groups(curve, cut):
+            owner.append(k)
+            a.append((s - 1) * h)
+            b.append((e + 1) * h)
+            seeds.append((0.5 * (s + e) * h, float(curve[s % g])))
+    best = curves.max(axis=-1)
+    for k, (_, fx) in zip(owner, _refine_peaks(Ms, owner, a, b, width, seeds, negate)):
+        best[k] = max(best[k], fx)
+    return best
+
+
+def _radius_near(
+    p: _Profile, Ms: np.ndarray, reach: float, lip: float, width: float
+) -> np.ndarray:
+    """omega(M) for every M of a stack Ms[k] = T + r e^{i theta_k} S.
+
+    ``p`` is T's profile, ``reach`` is r omega(S) and ``lip`` is
+    ||T|| + r ||S||. The support function of each M is within ``reach`` of
+    T's, so its peak lies where T's own support function is within
+    2 ``reach`` of omega(T). When that window covers at most 1/8 of T's
+    grid, each of its runs is searched whole, seeded at T's grid argmax in
+    the run. A wider window (a disk-like range, or a large r) takes a
+    256-angle sweep of every M instead and refines each grid peak within
+    ``lip`` times its step of the top on its own (`_refine_runs`), since
+    one search over a run holding two peaks can settle on the lower one.
+    Every golden search runs to bracket ``width``.
+    """
+    sweep = p.sweep
+    g, h = sweep.grid, sweep.h
+    level = p.omega - (2.0 * reach + 0.5 * p.lip * h + 1e-12 * p.omega)
+    hi = sweep.above(level)
+    mask = hi >= level
+    if int(mask.sum()) > g // 8:
+        his = _sweep_extremes(Ms, 256)[1]
+        return _refine_runs(Ms, his, his.max(axis=1) - lip * (_TWO_PI / 256), width)
+    K = Ms.shape[0]
+    runs = _true_runs(mask)
+    peaks = [s + int(np.argmax(hi[np.arange(s, e + 1) % g])) for s, e in runs]
+    owner = np.repeat(np.arange(K), len(runs))
+    a = [(s - 1) * h for s, _ in runs] * K
+    b = [(e + 1) * h for _, e in runs] * K
+    x0 = [(k % g) * h for k in peaks] * K
+    seeds = list(zip(x0, _extremes_at(Ms[owner], x0)[1].tolist()))
+    best = np.full(K, -math.inf)
+    for k, (_, fx) in zip(owner, _refine_peaks(Ms, owner, a, b, width, seeds)):
+        best[k] = max(best[k], fx)
+    return best
+
+
 _PROFILE_CACHE = _LRU(1024)
 _SWEEP_CACHE = _LRU(1024)
 
 
-def _profile(T: np.ndarray, grid: int = GRID_DEFAULT, tol: float | None = 1e-10) -> _Profile:
-    """Sweep + refine one matrix; memoized on (matrix bytes, grid, tol),
-    with one sweep per (matrix bytes, grid) whatever the tol.
+def _shared(T: np.ndarray) -> tuple[_Sweep, float]:
+    """T's 1024-angle sweep and ||T||, memoized on the matrix bytes alone:
+    the profiles of every tol, and `crawford_number`, read this one."""
+    key = (T.tobytes(), T.shape[0])
+    hit = _SWEEP_CACHE.get(key)
+    if hit is None:
+        hit = (_Sweep(T, GRID_DEFAULT), _spectral_norm(T) if T.any() else 0.0)
+        _SWEEP_CACHE.put(key, hit)
+    return hit
 
-    ``tol`` is the golden tolerance on the radius of this unit-scaled T;
-    None refines to 1e-10 ||T|| (a golden width of 1e-10 rad)."""
-    key = (T.tobytes(), T.shape[0], int(grid))
-    hit = _PROFILE_CACHE.get(key + (tol,))
-    if hit is not None:
-        return hit
 
-    p = _Profile()
-    p.T = T
-    n = p.n = T.shape[0]
-    p.grid = int(grid)
-    p.thetas = np.arange(p.grid) * (_TWO_PI / p.grid)
-    p.is_zero = not T.any()
-    shared = _SWEEP_CACHE.get(key)  # (sweep, ||T||), whatever the tol
-    if shared is None:
-        shared = (_Sweep(T, p.grid), 0.0 if p.is_zero else _spectral_norm(T))
-        _SWEEP_CACHE.put(key, shared)
-    p.sweep, p.lip = shared
-    p._lock = threading.Lock()
-    p._keep = p._cut = -math.inf
-    if p.is_zero:
-        p.omega = 0.0
-        p.theta_star = 0.0
-        e1 = np.zeros(n, dtype=np.complex128)
-        e1[0] = 1.0
-        p.maximizer = _freeze(e1)
-        p.width = 0.0
-        p._peaks = [(0.0, 0.0)]
-    else:
-        h = _TWO_PI / p.grid
-        p._golden = 1e-10 if tol is None else tol / p.lip
-        p.width = min(p._golden, h)
-        # the grid maximum is at least the samples' and the spread at least
-        # theirs, so only a flat spread of samples needs the whole curve
-        c = p.sweep.samples
-        flat = float(c.max()) - float(c.min()) <= _FLAT * n * p.lip
-        hi = p.sweep.full()[1] if flat else None
-        omega_grid = p.sweep.top()
-        if flat and omega_grid - float(hi.min()) <= _FLAT * n * p.lip:
-            # flat curve (a disk centred at 0): its local maxima are rounding
-            # noise, and the grid already resolves it
-            p._peaks = [(p.thetas[int(np.argmax(hi))], omega_grid)]
-        else:
-            # grid values below a run that is refined may be unsolved (-inf):
-            # they end every such run and start none
-            p._keep = omega_grid - 2.0 * p.lip * h
-            p._cut = math.inf
-            p._done = np.zeros(p.grid, dtype=bool)
-            p._peaks = []
-        p.omega = max(v for _, v in p.peaks_above(omega_grid))
-        tie = 1e-12 * p.omega
-        p.theta_star = min(th for th, v in p.peaks_above(p.omega - tie) if v >= p.omega - tie)
-        _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * p.theta_star)))
-        p.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
-
-    _PROFILE_CACHE.put(key + (tol,), p)
-    return p
+def _profile(T: np.ndarray, tol: float | None = 1e-10) -> _Profile:
+    """T's `_Profile` for ``tol``, memoized on (matrix bytes, tol)."""
+    key = (T.tobytes(), T.shape[0], tol)
+    hit = _PROFILE_CACHE.get(key)
+    if hit is None:
+        hit = _Profile(T, tol)
+        _PROFILE_CACHE.put(key, hit)
+    return hit
 
 
 def _rel_profile(T: np.ndarray) -> _Profile:
     """The scale-free profile (``tol=None``) that the derivatives read."""
-    return _profile(T, GRID_DEFAULT, None)
+    return _profile(T, None)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +799,7 @@ def numerical_radius(T, tol: float = 1e-10) -> RadiusResult:
     """
     tol = _validate_tol(tol)
     T, scale = _as_unit(T)
-    p = _profile(T, GRID_DEFAULT, tol / scale)
+    p = _profile(T, tol / scale)
     upper = p.omega + p.lip * p.width
     return RadiusResult(
         omega=scale * p.omega,
@@ -805,47 +813,32 @@ def crawford_number(T, tol: float = 1e-10) -> float:
     """Crawford number c(T): the distance from 0 to the numerical range.
 
     Equals max(0, max over theta of lambda_min(H_theta)) by convexity of
-    W(T); the inner maximization reuses the grid sweep plus golden
-    refinement. When the samples of the pruned sweep already show, by the
-    Lipschitz bound (a + b - ||T|| delta) / 2 on each arc, that every
-    lambda_max(H_theta) exceeds 2 ||T|| times the grid step, 0 lies
+    W(T); the inner maximization reads T's cached grid sweep (the one
+    `numerical_radius` reads, whatever the tol) plus golden refinement of
+    its near-top runs. When the samples of the pruned sweep already show,
+    by the Lipschitz bound (a + b - ||T|| delta) / 2 on each arc, that
+    every lambda_max(H_theta) exceeds 2 ||T|| times the grid step, 0 lies
     clearly inside W(T) and 0.0 returns before any arc is solved.
     """
     tol = _validate_tol(tol)
     T, scale = _as_unit(T)
-    p = _profile(T, GRID_DEFAULT, tol / scale)
-    if p.is_zero:
+    if not T.any():
         return 0.0
-    h = _TWO_PI / p.grid
+    sweep, lip = _shared(T)
+    h = sweep.h
     # lambda_min(H_theta) = -lambda_max(H_{theta+pi}): once the whole
     # lambda_max curve is known to exceed 2 ||T|| h, so is -best_grid below
-    if p.sweep.floor(p.lip) > 2.0 * p.lip * h:
+    if sweep.floor(lip) > 2.0 * lip * h:
         return 0.0
-    lo = p.lo
+    lo = sweep.full()[0]
     best_grid = float(lo.max())
-    if best_grid + 2.0 * p.lip * h < 0.0:
+    if best_grid + 2.0 * lip * h < 0.0:
         # the whole sweep stays clearly below zero: 0 is interior
         return 0.0
-    keep = best_grid - 2.0 * p.lip * h
-    brackets = []
-    for s, e in _cyclic_local_max_groups(lo):
-        gv = float(lo[s % p.grid])
-        if gv < keep:
-            continue
-        a = (s - 1) * h
-        b = (e + 1) * h
-        if b - a >= _TWO_PI:
-            continue
-        brackets.append((a, b, (0.5 * (s + e) * h, gv)))
-    best = best_grid
-    if brackets:
-        # lambda_min(H_theta(T)) = -lambda_max(H_theta(-T))
-        a, b, seeds = zip(*brackets)
-        for _, fb in _refine_peaks(
-            (-T)[None], [0] * len(a), a, b, p._golden, seeds, negate=True
-        ):
-            best = max(best, fb)
-    return scale * max(0.0, best)
+    # lambda_min(H_theta(T)) = -lambda_max(H_theta(-T))
+    cut = best_grid - 2.0 * lip * h
+    best = _refine_runs((-T)[None], lo[None], [cut], tol / scale / lip, negate=True)
+    return scale * max(0.0, float(best[0]))
 
 
 def boundary_points(T, count: int) -> list[complex]:
@@ -859,10 +852,10 @@ def boundary_points(T, count: int) -> list[complex]:
     if count < 3:
         raise ValueError("count must be at least 3")
     T, scale = _as_unit(T)
-    H = _solved_stack(T, count)
-    _, V = np.linalg.eigh(H)
+    m = count // 2 if count % 2 == 0 else count
+    _, V = np.linalg.eigh(_hermitian_rot(T, np.exp(1j * (np.arange(m) * (_TWO_PI / count)))))
     X = V[:, :, -1]
-    if H.shape[0] < count:
+    if m < count:
         X = np.concatenate((X, V[:, :, 0]))
     return [scale * complex(z) for z in np.einsum("ki,ij,kj->k", X.conj(), T, X)]
 
@@ -885,10 +878,10 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
     T, scale = _as_unit(T)
     if not T.any():
         raise DegenerateMatrixError("zero matrix: every unit vector is a maximizer")
-    p = _profile(T, GRID_DEFAULT, tol / 100.0 / scale)
+    p = _profile(T, tol / 100.0 / scale)
     cut = p.omega - tol / scale
     cand = [float(th) for th, v in p.peaks_above(cut) if v >= cut]
-    cand.extend(float(th) for th, v in zip(p.thetas, p.sweep.above(cut)) if v >= cut)
+    cand.extend((np.flatnonzero(p.sweep.above(cut) >= cut) * p.sweep.h).tolist())
     cand.sort()
     angles: list[float] = []
     for th in cand:
@@ -898,11 +891,10 @@ def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
     # wrap-around duplicate (theta ~ 0 vs theta ~ 2pi)
     if len(angles) > 1 and angles[0] + _TWO_PI - angles[-1] < 1e-7:
         angles.pop()
-    pairs = []
-    for th in angles:
-        _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * th)))
-        pairs.append((th % _TWO_PI, _freeze(np.ascontiguousarray(V[:, -1]))))
-    return MaximizerSet(pairs=tuple(pairs), omega=scale * p.omega)
+    _, V = np.linalg.eigh(_hermitian_rot(T, np.exp(1j * np.array(angles))))
+    X = V[:, :, -1]
+    pairs = tuple((th % _TWO_PI, _freeze(np.ascontiguousarray(x))) for th, x in zip(angles, X))
+    return MaximizerSet(pairs=pairs, omega=scale * p.omega)
 
 
 def radius_enclosure(T, grid: int) -> tuple[float, float]:
@@ -917,9 +909,10 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     bisects best first (`_Sweep.top`): only the midpoints of arcs whose
     wedge bound reaches the best value found so far, until none does, so
     lower is the full sweep's maximum bit for bit. When grid divides 1024
-    and T's 1024-angle sweep is cached (by `numerical_radius` or any other
-    call that read T's profile), the angles it has solved are read from
-    it: the same bits (`_Sweep`).
+    and T's 1024-angle sweep is cached (by `numerical_radius`,
+    `crawford_number` or any other call that read it), the angles it has
+    solved are read from it, the same bits, and only the rest are solved
+    (`_Sweep`).
     """
     grid = operator.index(grid)
     if grid < 8:
@@ -929,7 +922,7 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
         return (0.0, 0.0)
     shared = None
     if GRID_DEFAULT % grid == 0:
-        shared = _SWEEP_CACHE.get((T.tobytes(), T.shape[0], GRID_DEFAULT))
+        shared = _SWEEP_CACHE.get((T.tobytes(), T.shape[0]))
     sweep = _Sweep(T, grid, None if shared is None else shared[0])
     lower = sweep.top()
     # 4 n eps ||T||_F is half the sweep's allowance rho

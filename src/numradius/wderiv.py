@@ -15,7 +15,9 @@ derivative. ``omega_derivative`` drives r down a halving schedule until
 successive quotients stabilize. The achievable resolution is limited by
 the floating-point cancellation in f(r) - f(0), roughly
 machine-eps * omega^2 / r, and the stopping logic accounts for that
-noise floor explicitly rather than halving forever.
+noise floor explicitly rather than halving forever. Every
+omega(T + r e^{i theta} S) is read through T's cached profile by
+``numrange._radius_near`` (see the ``numrange`` docstring).
 
 The derivative decides approximate orthogonality in the radius gauge:
 T is eps-orthogonal to S exactly when
@@ -175,63 +177,12 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     return a * (b * ((wr * wr - w0 * w0) / (2.0 * r)))
 
 
-def _radius_near(
-    pT, gS: float, lipS: float, Ms: np.ndarray, r: float, width: float
-) -> np.ndarray:
-    """omega(M) for every M of a stack Ms[k] = T + r e^{i theta_k} S.
-
-    ``pT`` is T's profile; ``gS`` and ``lipS`` are omega(S) and ||S||.
-    The support function of each M is within r omega(S) of T's, so its
-    peak lies where T's own support function is within 2 r omega(S) of
-    omega(T). When that window covers at most 1/8 of T's grid, each of
-    its runs is searched whole, seeded at T's grid argmax in the run.
-    A wider window (a disk-like range, or a large r) takes a 256-angle
-    sweep of every M instead and refines each near-top grid peak on its
-    own, since one search over a run holding two peaks can settle on the
-    lower one. All golden searches run to bracket ``width`` in one
-    `numrange._refine_peaks` call.
-    """
-    K = Ms.shape[0]
-    g = pT.grid
-    h = _TWO_PI / g
-    margin = 2.0 * r * gS + 0.5 * pT.lip * h + 1e-12 * pT.omega
-    level = pT.omega - margin
-    hi = pT.sweep.above(level)
-    mask = hi >= level
-    if int(mask.sum()) <= g // 8:
-        runs = numrange._true_runs(mask)
-        peaks = [s + int(np.argmax(hi[np.arange(s, e + 1) % g])) for s, e in runs]
-        owner = np.repeat(np.arange(K), len(runs))
-        a = [(s - 1) * h for s, _ in runs] * K
-        b = [(e + 1) * h for _, e in runs] * K
-        x0 = [(k % g) * h for k in peaks] * K
-        seeds = list(zip(x0, numrange._lammax_at(Ms, owner, x0).tolist()))
-        best = np.full(K, -math.inf)
-    else:
-        his = numrange._sweep_extremes(Ms, 256)[1]
-        h = _TWO_PI / 256
-        best = his.max(axis=1)
-        owner, a, b, seeds = [], [], [], []
-        for k, hi in enumerate(his):
-            cut = float(best[k]) - (pT.lip + r * lipS) * h
-            for s, e in numrange._cyclic_local_max_groups(hi):
-                gv = float(hi[s % hi.size])
-                if gv >= cut:
-                    owner.append(k)
-                    a.append((s - 1) * h)
-                    b.append((e + 1) * h)
-                    seeds.append((s * h, gv))
-    for k, (_, fx) in zip(owner, numrange._refine_peaks(Ms, owner, a, b, width, seeds)):
-        best[k] = max(best[k], fx)
-    return best
-
-
 def _quotient_limit(
     T: np.ndarray, S: np.ndarray, theta: float, tol: float
 ) -> DerivativeResult:
     """Quotient limit along a halving schedule with windowed re-maximization.
 
-    Each omega(T + r e^{i theta} S) comes from `_radius_near`, with a
+    Each omega(T + r e^{i theta} S) comes from `numrange._radius_near`, with a
     golden width that shrinks with r. Once two quotients are in hand,
     their secant slope predicts how small r must get for the quotient to
     settle within tol, and the schedule jumps there instead of halving
@@ -245,12 +196,13 @@ def _quotient_limit(
     w2 = wT * wT
     r0 = 0.5 * wT / wS
     U = cmath.exp(1j * theta) * S
-    h = _TWO_PI / pT.grid
+    h = pT.sweep.h
     scale = pT.lip + r0 * pS.lip
 
     def omega_at(r: float) -> float:
         width = min(h, max(math.sqrt(max(r * tol, 0.0)) / (2.5 * scale), 1e-14))
-        return float(_radius_near(pT, wS, pS.lip, (T + r * U)[None], r, width)[0])
+        Ms = (T + r * U)[None]
+        return float(numrange._radius_near(pT, Ms, r * wS, pT.lip + r * pS.lip, width)[0])
 
     trace: list[tuple[float, float]] = []
     prev = None
@@ -419,7 +371,7 @@ class _ActiveSet:
         self.curv = numrange._rel_profile(S).lip
         # on an arc, eigenvalues share a top eigenspace only if they tie to
         # rounding, or a block active at one angle would turn with the arc
-        self.tie = numrange._FLAT * pT.n * pT.lip
+        self.tie = numrange._FLAT * T.shape[0] * pT.lip
         self.blocks: dict[int, list[tuple]] = {}  # size: [(phi, C, spacing)]
         self.pts = np.empty(0, _POINT)
         gap = 1e-8 * pT.lip
@@ -427,8 +379,8 @@ class _ActiveSet:
         self._arc(np.array([phi for phi, v in peaks if v >= self.floor]), 0.0, gap)
         idx = np.flatnonzero(pT.sweep.above(self.floor) >= self.floor)
         if idx.size >= 8:
-            h = _TWO_PI / pT.grid
-            phis = np.unique(idx % (pT.grid // 2)) * h
+            h = pT.sweep.h
+            phis = np.unique(idx % (pT.sweep.grid // 2)) * h
             w = self._arc(phis, h, self.tie, antipodes=True)
             # a block active at one angle alone can hide between grid angles
             # of the arc: search wherever a second eigenvalue comes close
@@ -454,8 +406,6 @@ class _ActiveSet:
         """Sample the active angles among ``phis`` (and phis + pi with
         ``antipodes``: H_{phi+pi} = -H_phi); eigenvalues within ``tie`` of the
         top share its eigenspace. Returns the eigenvalues at ``phis``."""
-        if phis.size == 0:
-            return None
         w, V = np.linalg.eigh(_hermitian_rot(self.T, np.exp(1j * phis)))
         sides = [(phis, w[:, -1], (w >= w[:, -1:] - tie).sum(axis=1), -1)]
         if antipodes:
@@ -616,7 +566,7 @@ def min_epsilon(T, S) -> float:
 #
 # Every value of F, at the micro radii and along the ray searches
 # alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
-# gauge runs `_radius_near` (the kernel of the quotient limit too) with
+# gauge runs `numrange._radius_near` (the kernel of the quotient limit too) with
 # one fixed golden width, so the nodes and the confirmations agree.
 
 
@@ -646,13 +596,13 @@ class _Gauge:
         """Accurate g^2 at every angle of ``thetas``, one radius r.
 
         The spectral norm comes from one batched Gram eigensolve; the
-        radius from `_radius_near`, with golden searches down to 1e-7.
+        radius from `numrange._radius_near`, with golden searches down to 1e-7.
         """
         Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
         if self.kind == "sigma":
             G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
             return np.maximum(_extremes(G)[1], 0.0)
-        w = _radius_near(self.profT, self.gS, self.lipS, Ms, r, 1e-7)
+        w = numrange._radius_near(self.profT, Ms, r * self.gS, self.norm + r * self.lipS, 1e-7)
         return np.maximum(w, 0.0) ** 2
 
     def acc_sq(self, theta: float, r: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numradius import cli
 from numradius.cli import (
     MatrixSyntaxError,
     format_matrix,
@@ -17,6 +19,7 @@ from numradius.cli import (
     main,
     parse_matrix,
 )
+from numradius.wderiv import ConvergenceError
 
 # --- literal grammar -----------------------------------------------------------
 
@@ -81,6 +84,20 @@ def test_parse_unbalanced_brackets_rejected():
             parse_matrix(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("[1,;2,3]", "empty entry"),
+        ("[1,2];[3,4]", "unbalanced ']'"),
+        ("[[1,2]3;4,5]", "row bracket not closed"),
+        ("[1,[2];3,4]", "nested brackets inside an entry"),
+    ],
+)
+def test_parse_errors_name_the_fault(bad, message):
+    with pytest.raises(MatrixSyntaxError, match=re.escape(message)):
+        parse_matrix(bad)
+
+
 def test_parse_empty_rejected():
     for bad in ("", "[]", "[;]"):
         with pytest.raises(MatrixSyntaxError):
@@ -89,6 +106,11 @@ def test_parse_empty_rejected():
 
 def test_syntax_error_is_value_error():
     assert issubclass(MatrixSyntaxError, ValueError)
+
+
+def test_format_rejects_an_empty_array():
+    with pytest.raises(ValueError, match="nonempty"):
+        format_matrix(np.zeros((0, 0)))
 
 
 def test_format_parse_round_trip_exact():
@@ -140,6 +162,20 @@ def test_load_matrix_file_rejects_bad_counts(tmp_path):
         load_matrix_file(str(p))
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"rows": 0, "cols": 0, "data": []}, "must be positive"),
+        ({"rows": 1, "cols": 1, "data": [[1, 0, 2]]}, "is not a [re, im] pair"),
+    ],
+)
+def test_load_matrix_file_rejects_bad_shapes(tmp_path, payload, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix_file(str(p))
+
+
 # --- subcommands, in process ------------------------------------------------------
 
 
@@ -155,6 +191,10 @@ def test_radius_json_output(capsys):
     assert doc["omega"] == 2.0
     lo, hi = doc["enclosure"]
     assert lo <= 2.0 <= hi
+
+
+def test_complex_output_drops_zero_parts():
+    assert [cli._gc(z) for z in (2.0, -0.5j, 1 - 2j, -0j)] == ["2", "-0.5i", "1-2i", "0"]
 
 
 def test_radius_accepts_positional_literal(capsys):
@@ -305,6 +345,15 @@ def test_paper_check_passes_and_is_deterministic(capsys):
 def test_bad_literal_exits_2(capsys):
     assert main(["radius", "--t", "[1,2;3]"]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_non_convergence_exits_1(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("difference quotients failed to stabilize")
+
+    monkeypatch.setattr(cli, "inf_derivative", fail)
+    assert main(["inf-deriv", "--t", "[1,1;0,-1]", "--s", "[1,0;0,1]"]) == 1
+    assert "failed to stabilize" in capsys.readouterr().err
 
 
 def test_missing_second_matrix_exits_2(capsys):

@@ -428,9 +428,9 @@ def test_flat_sweep_is_one_grid_peak(base):
     p = _profile(T)
     norm = linalg.spectral_norm(T)
     assert len(p.peaks) == 1
-    assert p.peaks[0][0] in p.thetas
+    assert p.peaks[0][0] in (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
     assert abs(p.omega - 0.5 * norm) <= 1e-15 * norm
-    assert len(_cyclic_local_max_groups(p.hi)) > 1
+    assert len(_cyclic_local_max_groups(p.sweep.full()[1])) > 1
 
 
 def test_run_finder_merges_the_wrap_and_finds_local_maxima():
@@ -635,18 +635,27 @@ def test_arc_bounds_cover_every_unsolved_value(grid):
         assert (fine <= sweep.steps(np.arange(grid))).all()
 
 
+def _count_sweep_solves(monkeypatch) -> list[int]:
+    """Record the number of angles of every `numrange._extremes_at` call on
+    one matrix: the sweep's own solves. Golden lanes and seeds pass stacks,
+    and are not counted."""
+    rows = []
+    solve = numrange._extremes_at
+
+    def counting(M, thetas):
+        if M.ndim == 2:
+            rows.append(np.size(thetas))
+        return solve(M, thetas)
+
+    monkeypatch.setattr(numrange, "_extremes_at", counting)
+    return rows
+
+
 def test_radius_of_a_generic_n64_matrix_solves_few_angles(monkeypatch):
     # the best-first sweep solves 26-32 of a 1024-angle grid's 512 distinct
     # eigenproblems on these draws; a margin first order in the grid step
     # (||T|| h / 2) would solve 109-202
-    rows = []
-    solve = numrange._extremes_at
-
-    def counting(T, idx, grid):
-        rows.append(len(idx))
-        return solve(T, idx, grid)
-
-    monkeypatch.setattr(numrange, "_extremes_at", counting)
+    rows = _count_sweep_solves(monkeypatch)
     monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
     monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
     gen = oracle.generators(4243)
@@ -660,14 +669,7 @@ def test_radius_enclosure_reads_the_cached_sweep(monkeypatch):
     # after numerical_radius, the 256-angle enclosure of a generic n = 64 T
     # finds every angle it needs solved in T's cached 1024-angle sweep, and
     # returns the bits of a call on a cold cache
-    rows = []
-    solve = numrange._extremes_at
-
-    def counting(T, idx, grid):
-        rows.append(len(idx))
-        return solve(T, idx, grid)
-
-    monkeypatch.setattr(numrange, "_extremes_at", counting)
+    rows = _count_sweep_solves(monkeypatch)
     gen = oracle.generators(4243)
     for _ in range(3):
         T = linalg.as_matrix(gen.matrix(64))
@@ -680,6 +682,52 @@ def test_radius_enclosure_reads_the_cached_sweep(monkeypatch):
         assert sum(rows) == 0
         assert warm == cold[0]
         assert radius_enclosure(T, 1024) == cold[1]
+
+
+def test_radius_enclosure_solves_what_the_cached_sweep_lacks(monkeypatch):
+    # crawford_number reads T's cached 1024-angle sweep only as far as it
+    # needs; when 0 is clearly inside W(T) that is the first samples, so a
+    # later enclosure solves the angles its bisection needs beyond them and
+    # still returns the bits of a call on a cold cache
+    rows = _count_sweep_solves(monkeypatch)
+    gen = oracle.generators(4243)
+    for n in (3, 8, 64):
+        T = linalg.as_matrix(gen.matrix(n))
+        for grid in (64, 256):
+            monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+            cold = radius_enclosure(T, grid)
+            crawford_number(T)
+            rows.clear()
+            assert radius_enclosure(T, grid) == cold
+            assert sum(rows) > 0
+
+
+def test_crawford_number_reads_only_the_shared_sweep(monkeypatch):
+    # a cold call builds T's sweep and norm, and no tol-keyed profile, and
+    # returns what the whole-sweep code returns bit for bit
+    for case in ("generic-n2", "generic-n3", "hermitian-n4", "positive-n5", "scaled-1e8-n6"):
+        T = linalg.as_matrix(_BITWISE[case])
+        monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+        monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+        got = crawford_number(T)
+        assert numrange._PROFILE_CACHE._data == {}
+        assert len(numrange._SWEEP_CACHE._data) == 1
+        assert got == _full_crawford(T, _full_profile(T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_evaluator_is_the_scalar_one_bit_for_bit(n):
+    # off the grid, for a stack broadcast against a grid of angles and for
+    # one angle per matrix (as the golden lanes and seeds call it), every
+    # lambda_max is the scalar golden search's
+    gen = oracle.generators(700 + n)
+    rng = np.random.default_rng(n)
+    Ms = np.stack([linalg._as_unit(gen.matrix(n))[0] for _ in range(10)])
+    x = rng.uniform(-7.0, 7.0, size=(10, 40))
+    want = [[_lammax_fn(M)(t) for t in row] for M, row in zip(Ms, x.tolist())]
+    assert numrange._extremes_at(Ms[:, None], x)[1].tolist() == want
+    owner = np.repeat(np.arange(10), 40)
+    assert numrange._extremes_at(Ms[owner], x.ravel())[1].tolist() == sum(want, [])
 
 
 def _radius_calls(T, c):
@@ -723,8 +771,8 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
     lo_ref, hi_ref = _sweep_extremes(T, 1024)
     omega = _full_profile(T)["omega"]
     monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
-    rel_peaks = _profile(T, 1024, None).peaks
-    # None: p.lo and p.hi; "rel": the profile with tol=None
+    rel_peaks = _profile(T, None).peaks
+    # None: the whole curves; "rel": the profile with tol=None
     levels = [omega, omega - 1e-3, -math.inf, None, "rel"]
     handed, errors, wrong = [], [], []
 
@@ -733,9 +781,9 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
             barrier.wait(timeout=30)
             level = levels[i]
             if level is None:
-                got = [(p.lo, lo_ref), (p.hi, hi_ref)]
+                got = list(zip(p.sweep.full(), (lo_ref, hi_ref)))
             elif level == "rel":
-                q = _profile(T, 1024, None)
+                q = _profile(T, None)
                 if q.sweep is not p.sweep or q.peaks != rel_peaks:
                     wrong.append(i)
                 got = []
@@ -748,7 +796,7 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
             for a, ref in got:
                 if a.tobytes() != ref.tobytes():
                     wrong.append(i)
-            handed.extend((a, a.copy()) for a in (p.sweep.hi, p.sweep.lo, p.hi))
+            handed.extend((a, a.copy()) for a in (p.sweep.hi, p.sweep.lo, p.sweep.full()[1]))
         except Exception as exc:
             errors.append(exc)
 
@@ -776,9 +824,9 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
         assert not a.flags.writeable
         assert a.tobytes() == snapshot.tobytes()
     with pytest.raises(ValueError):
-        p.hi[0] = 0.0
+        p.sweep.full()[1][0] = 0.0
     with pytest.raises(ValueError):
-        p.lo[0] = 0.0
+        p.sweep.full()[0][0] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -794,6 +842,8 @@ def test_tolerance_must_be_positive_and_finite(call, tol):
 
 def test_grid_and_count_must_be_integers():
     T = oracle.generators(20).matrix(3)
+    with pytest.raises(ValueError, match="at least 8"):
+        radius_enclosure(T, 7)
     with pytest.raises(TypeError):
         radius_enclosure(T, 8.9)
     with pytest.raises(TypeError):

@@ -70,6 +70,13 @@ def test_diff_quotient_rejects_bad_r():
         diff_quotient(T24, S24, 0.0, -0.5)
 
 
+def test_pair_calls_reject_mismatched_sizes():
+    with pytest.raises(linalg.DimensionError, match="share a dimension"):
+        min_epsilon(np.eye(2), np.eye(3))
+    with pytest.raises(linalg.DimensionError, match="share a dimension"):
+        diff_quotient(np.eye(3), np.eye(2), 0.0, 0.1)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("n", [2, 3])
 def test_diff_quotient_rejects_non_finite_theta(theta, n):
@@ -417,6 +424,7 @@ def test_quotient_disagreement_raises_at_any_scale(monkeypatch, c):
 
 
 def test_min_epsilon_worked_pairs():
+    assert min_epsilon(np.zeros((2, 2)), S22) == 0.0
     assert abs(min_epsilon(T22, S22) - 0.0) <= 1e-6
     assert abs(min_epsilon(S22, T22) - (2 - SQ2) / 4) <= 1e-6
     assert abs(min_epsilon(T24, S24) - 1 / (4 + 2 * SQ2)) <= 1e-6
@@ -690,7 +698,7 @@ def test_micro_batch_matches_per_angle_acc_sq(scale):
         pT = gauge.profT
         r = scale * math.sqrt(DECISION_TOL) / (4.0 * gauge.gS)  # the scan's rbar
         margin = 2.0 * r * gauge.gS + 0.5 * pT.lip * (2.0 * math.pi / 1024) + 1e-12
-        wide = int((pT.hi >= pT.omega - margin).sum()) > 1024 // 8
+        wide = int((pT.sweep.full()[1] >= pT.omega - margin).sum()) > 1024 // 8
         assert wide == (base == "disk")
         thetas = np.arange(64) * (2.0 * math.pi / 64)
         got = gauge.micro_batch(thetas, r)
