@@ -195,16 +195,20 @@ def _eig2(m, d, br, bi):
     """(smallest, largest) eigenvalue m -/+ sqrt(d^2 + br^2 + bi^2) of the
     Hermitian [[m + d, b], [conj b, m - d]], b = br + i bi, its squares
     taken term by term. Floats and arrays round alike, so the scalar
-    golden search and the batched sweeps share every bit."""
+    evaluations and the batched sweeps share every bit."""
     q = d * d + br * br + bi * bi
     rad = math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
     return m - rad, m + rad
 
 
 def _rot2(T) -> list:
-    """`_eig2_rot`'s coefficients of a 2x2 T (or a stack): the real and
-    imaginary parts of (t00 + t11, t00 - t11, t01 + t10, t01 - t10) / 2."""
-    a, b, c, d = T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1]
+    """`_eig2_rot`'s coefficients of a 2x2 T (Python floats) or a stack
+    (arrays): the real and imaginary parts of
+    (t00 + t11, t00 - t11, t01 + t10, t01 - t10) / 2."""
+    if T.ndim == 2:
+        a, b, c, d = T.ravel().tolist()
+    else:
+        a, b, c, d = T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1]
     return [x for w in (a + d, a - d, b + c, b - c) for x in (0.5 * w.real, 0.5 * w.imag)]
 
 
@@ -214,6 +218,25 @@ def _eig2_rot(c, zr, zi):
     a multiply-add where Python's does not)."""
     sr, si, dr, di, ur, ui, wr, wi = c
     return _eig2(zr * sr - zi * si, zr * dr - zi * di, zr * ur - zi * ui, zr * wi + zi * wr)
+
+
+def _eig2_slope(c, zr, zi):
+    """(largest eigenvalue, its derivative in theta) of `_eig2_rot`, z =
+    e^{i theta}: the eigenvalue is `_eig2_rot`'s bit for bit, the
+    derivative m' + (d d' + br br' + bi bi') / rad of its real products
+    (zr' = -zi, zi' = zr), or m' where rad = 0. Floats and arrays round
+    alike."""
+    sr, si, dr, di, ur, ui, wr, wi = c
+    d, br, bi = zr * dr - zi * di, zr * ur - zi * ui, zr * wi + zi * wr
+    q = d * d + br * br + bi * bi
+    lean = d * -(zi * dr + zr * di) + br * -(zi * ur + zr * ui) + bi * (zr * wr - zi * wi)
+    if isinstance(q, float):
+        rad = math.sqrt(q)
+        turn = lean / rad if rad > 0.0 else 0.0
+    else:
+        rad = np.sqrt(q)
+        turn = np.divide(lean, rad, out=np.zeros_like(rad), where=rad > 0.0)
+    return (zr * sr - zi * si) + rad, turn - (zi * sr + zr * si)
 
 
 def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,11 +17,11 @@ independent ``oracle`` builds H_theta there.
 
 The theta maximization runs a coarse grid first (lambda_max(H_theta) is
 Lipschitz in theta with constant ||T||, but may be multimodal), then
-golden-section refinement of every competitive grid bracket (a sweep
-flat up to rounding, as for a disk centred at 0, keeps its grid maximum
-alone). The grid is solved lazily (`_Sweep`): every 32nd angle first,
-then only the arcs between solved angles that can still matter. On an
-arc between solved values a and b, delta apart, W(T) lies in the wedge
+refines every competitive grid bracket on the slope of lambda_max (a
+sweep flat up to rounding, as for a disk centred at 0, keeps its grid
+maximum alone). The grid is solved lazily (`_Sweep`): every 32nd angle
+first, then only the arcs between solved angles that can still matter.
+On an arc between solved values a and b, delta apart, W(T) lies in the wedge
 of their two supporting lines, so lambda_max there is at most the
 wedge's largest support over the arc's directions (the wedge bound): the
 modulus of its corner, sqrt(a^2 + b^2 - 2ab cos delta) / sin delta, when
@@ -32,11 +32,20 @@ so far (about 30 of 512 eigenproblems for a generic n = 64 T); a caller
 that reads a level solves every arc whose bound reaches it; and a grid
 run is refined only when a bound on a step of its bracket reaches the
 level read (the bracket test). Every value a caller reads is the full
-sweep's bit for bit. For n >= 3 the brackets are refined in lockstep:
-each golden step makes one batched eigensolve (`linalg._extremes`) over
-every bracket still open, possibly of several matrices, with results bit
-for bit those of the scalar search. Sweep results are memoized per
-matrix because derivative and orthogonality code re-reads them heavily.
+sweep's bit for bit. The brackets of a call, possibly of several
+matrices, are refined in lockstep: each step makes one batched
+evaluation (`_slopes_at`) over every bracket still open, and a
+bracket's result does not depend on the others. Sweep results are
+memoized per matrix because derivative and orthogonality code re-reads
+them heavily.
+
+One eigensolve gives the slope of lambda_max with its value: by
+Hellmann-Feynman it is -Im(e^{i theta} <T x, x>) for a top eigenvector
+x. It vanishes at a peak, where e^{i theta} <T x, x> is real: at the
+top peak, |<T x, x>| = omega(T).
+Brent's zeroin finds that sign change in 5-8 eigensolves per peak,
+where golden section on values took 30-47.
+
 Every public call divides T by a power of two on entry (`linalg._as_unit`)
 and multiplies its answer back; c T for a power of two c shares T's cached
 sweep and gives c times T's answers bit for bit.
@@ -58,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _LRU, _as_unit, _eig2_rot, _extremes, _freeze, _hermitian_rot, _rot2, _spectral_norm
+    _LRU, _as_unit, _eig2_rot, _eig2_slope, _extremes, _freeze, _hermitian_rot, _rot2,
+    _spectral_norm,
 )
 
 __all__ = [
@@ -95,6 +105,13 @@ _PRUNE_MIN_N = 3
 _BISECT_MIN_N = 8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# step cap of one peak search; on the benchmark pools a search takes 3-10
+_ROOT_STEPS = 200
+# n = 2 rounds of at most this many lanes are evaluated on Python floats
+_SCALAR_LANES = 16
+# values within _TIE |f| of each other tie in a peak search: a computed
+# lambda_max(H_theta) is within about n u ||T|| <= 2 n u omega(T) of exact
+_TIE = 1e-13
 
 
 class DegenerateMatrixError(ValueError):
@@ -161,8 +178,9 @@ class _Profile:
     grid runs a peak of a given value may come from, and ``peaks`` refines
     every run within ``2 ||T|| h`` of the grid maximum.
 
-    ``tol`` is the golden tolerance on the radius of this unit-scaled T;
-    None refines to 1e-10 ||T|| (a golden width of 1e-10 rad)."""
+    ``tol`` is the refinement tolerance on the radius of this unit-scaled
+    T: peaks are located to brackets of tol / ||T|| rad; None refines to
+    1e-10 ||T|| (brackets of 1e-10 rad)."""
 
     def __init__(self, T: np.ndarray, tol: float | None):
         self.T = T
@@ -177,8 +195,8 @@ class _Profile:
             self._peaks = [(0.0, 0.0)]
             return
         h = sweep.h
-        self._golden = 1e-10 if tol is None else tol / lip
-        self.width = min(self._golden, h)
+        self._bracket = 1e-10 if tol is None else tol / lip
+        self.width = min(self._bracket, h)
         # the grid maximum is at least the samples' and the spread at least
         # theirs, so only a flat spread of samples needs the whole curve
         flat = _FLAT * T.shape[0] * lip
@@ -214,7 +232,7 @@ class _Profile:
 
         A grid run is refined when its value is within 2 ||T|| h of the grid
         maximum (``_keep``) and, for the bracket test, some step of its
-        golden bracket has a bound (`_Sweep.steps`) that reaches ``level``:
+        bracket has a bound (`_Sweep.steps`) that reaches ``level``:
         the search stays in the bracket, so it cannot end higher. The grid
         values of a run and of its two neighbours bound its steps, so a run
         of grid value gv has none above (gv + rho) sec(h / 2) + 2 rho; the
@@ -250,7 +268,7 @@ class _Profile:
                 [0] * s.size,
                 ((s - 1) * h).tolist(),
                 ((e + 1) * h).tolist(),
-                self._golden,
+                self._bracket,
                 list(zip((0.5 * (s + e) * h).tolist(), gv.tolist())),
             )
             self._peaks = sorted(self._peaks + [(x % _TWO_PI, f) for x, f in refined])
@@ -260,7 +278,7 @@ class _Profile:
 def _lammax_fn(T: np.ndarray):
     """Scalar theta -> lambda_max(H_theta(T)), the sweep's bits; closed form for n = 2."""
     if T.shape[0] == 2:
-        c = [float(x) for x in _rot2(T)]
+        c = _rot2(T)
 
         def f2(theta: float) -> float:
             e = cmath.exp(1j * theta)
@@ -285,6 +303,24 @@ def _extremes_at(M: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     if M.shape[-1] == 2:
         return _eig2_rot(_rot2(M), z.real, z.imag)
     return _extremes(_hermitian_rot(M, z))
+
+
+def _slopes_at(Ms: np.ndarray, owner, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_max, its derivative in theta) of H_theta(Ms[owner[i]]) at
+    ``thetas[i]``, for a (K, n, n) stack Ms.
+
+    dH_theta / dtheta = H_{theta + pi/2}, so by Hellmann-Feynman the
+    derivative is -Im(e^{i theta} <M x, x>) for a unit top eigenvector x:
+    at a peak, <M x, x> e^{i theta} is real. n = 2 takes the closed form
+    `linalg._eig2_slope`, any other n one batched ``eigh``; either way the
+    values of one angle do not depend on the others of the call."""
+    z = np.exp(1j * np.asarray(thetas))
+    if Ms.shape[-1] == 2:
+        return _eig2_slope([c[owner] for c in _rot2(Ms)], z.real, z.imag)
+    A = Ms[owner]
+    w, V = np.linalg.eigh(_hermitian_rot(A, z))
+    x = V[..., -1]
+    return w[..., -1], -(z * np.einsum("ki,kij,kj->k", x.conj(), A, x)).imag
 
 
 def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -547,101 +583,131 @@ def _golden_max(f, a: float, b: float, width: float, seed_best: tuple[float, flo
     return xb, fb
 
 
-def _golden_lanes(fb, a, b, width: float, xb, fbest) -> tuple[np.ndarray, np.ndarray]:
-    """`_golden_max` run on many brackets ("lanes") at once.
+def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
+    """Refine the peak of one bracket [a, b], as a generator.
 
-    Every lane takes exactly the steps of the scalar search: the same
-    seed, the same width test, the same c/d updates and the same
-    120-step cap, so its result is the scalar result whenever the
-    batched evaluator ``fb(lanes, x)`` (values of lanes ``lanes`` at
-    abscissae ``x``) returns what the scalar function would. A lane
-    leaves as soon as its bracket is narrower than ``width``; each step
-    makes one ``fb`` call over the lanes still open.
+    It yields lists of abscissae and is sent back their (values, slopes)
+    as lists, and returns (x, f, bracketed). When the slopes at a and b
+    straddle zero (bracketed), Brent's zeroin finds the sign change of the
+    slope: its bracket keeps a rising end left of a falling one, so it
+    always holds a peak, and it stops once it is at most ``width`` wide
+    (or a slope reads exactly 0, or after `_ROOT_STEPS` steps). f is the
+    best of ``seed`` and the evaluated values. x is f's abscissa, or the
+    last iterate, where the slope is nearest zero, when its value ties
+    with f within `_TIE` |f|: near a peak the values tie to rounding over
+    about sqrt(u) in x, while the slope places the peak within
+    ``width``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    xb = np.array(xb, dtype=float)
-    fbest = np.array(fbest, dtype=float)
-    h = b - a
-    short = h <= width
-    mid = np.flatnonzero(short)
-    run = np.flatnonzero(~short)
-    xm = 0.5 * (a[mid] + b[mid])
-    a, b, h = a[run], b[run], h[run]
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    k, m = mid.size, run.size
-    f = fb(np.concatenate((mid, run, run)), np.concatenate((xm, c, d)))
-    fm, fc, fd = f[:k], f[k : k + m], f[k + m :]
-    up = fm > fbest[mid]
-    xb[mid[up]] = xm[up]
-    fbest[mid[up]] = fm[up]
-    xr, fr = xb[run], fbest[run]
-    for step in range(120):
-        up = fc > fr
-        xr, fr = np.where(up, c, xr), np.where(up, fc, fr)
-        up = fd > fr
-        xr, fr = np.where(up, d, xr), np.where(up, fd, fr)
-        # the scalar search evaluates one more point after its last step
-        # but never compares it
-        go = ~(h <= width) if step < 119 else np.zeros(run.size, dtype=bool)
-        xb[run[~go]] = xr[~go]
-        fbest[run[~go]] = fr[~go]
-        if not go.any():
+    xb, fb = seed
+    (fa, fz), (ga, gz) = yield [a, b]
+    if fa > fb:
+        xb, fb = a, fa
+    if fz > fb:
+        xb, fb = b, fz
+    if not (ga >= 0.0 >= gz):
+        return xb, fb, False
+    # zeroin (Brent 1973) on the slope, with points (x, f, g): cur is the
+    # current iterate, prev the one before, far the other end of the
+    # bracket, where the slope has the other sign
+    cur, prev = (b, fz, gz), (a, fa, ga)
+    far = prev
+    d = e = b - a
+    for _ in range(_ROOT_STEPS):
+        if abs(far[2]) < abs(cur[2]):
+            prev, cur, far = cur, far, cur
+        x, g = cur[0], cur[2]
+        xm = 0.5 * (far[0] - x)
+        if abs(far[0] - x) <= width or g == 0.0:
             break
-        run, a, b, c, d, fc, fd, xr, fr = (
-            v[go] for v in (run, a, b, c, d, fc, fd, xr, fr)
-        )
-        left = fc > fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        h = b - a
-        x = np.where(left, a + _INV_PHI2 * h, a + _INV_PHI * h)
-        fx = fb(run, x)
-        c, fc, d, fd = (
-            np.where(left, x, d),
-            np.where(left, fx, fd),
-            np.where(left, c, x),
-            np.where(left, fc, fx),
-        )
-    return xb, fbest
+        tol1 = 2.0 * _EPS * abs(x) + 0.5 * width
+        if abs(e) >= tol1 and abs(prev[2]) > abs(g):
+            # inverse quadratic interpolation, or the secant
+            s = g / prev[2]
+            if prev[0] == far[0]:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = prev[2] / far[2], g / far[2]
+                p = s * (2.0 * xm * q * (q - r) - (x - prev[0]) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            s, e = e, d
+            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * s * q):
+                d = p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        prev = cur
+        x += d if abs(d) > tol1 else math.copysign(min(tol1, abs(xm)), xm)
+        (f,), (g,) = yield [x]
+        cur = (x, f, g)
+        if f > fb:
+            xb, fb = x, f
+        if (g > 0.0) == (far[2] > 0.0) and g != 0.0:
+            far = prev
+            d = e = x - prev[0]
+    return (cur[0] if cur[1] >= fb - _TIE * abs(fb) else xb), fb, True
 
 
 def _refine_peaks(
     Ms: np.ndarray, owner, a, b, width: float, seeds, negate: bool = False
 ) -> list[tuple[float, float]]:
-    """Golden-refine bracket i of theta -> lambda_max(H_theta(Ms[owner[i]])).
+    """Refine the peak of bracket i of theta -> lambda_max(H_theta(Ms[owner[i]])).
 
-    Returns ``_golden_max``'s (x, f(x)) for every bracket, seeded with
-    ``seeds[i]``; ``negate`` maximizes -lambda_max instead. For n >= 3
-    all brackets, whatever their matrix, share one batched eigensolve per
-    golden step, which returns the scalar values bit for bit. n <= 2 and
-    single brackets stay on the scalar search, which is faster there: the
-    330 calls of ortho-disk seed 4242, all replayed through `_golden_lanes`
-    (2 cores, numpy 2.4.6, OpenBLAS, one thread), went for n = 2 and one
-    bracket from 3.4 to 173 ms, n = 2 and several from 188 to 313 ms, n >= 3
-    and one from 17 to 62 ms, and the workload took 17-34 % longer.
+    Returns (x, f) of every bracket, seeded with ``seeds[i]``: f the best
+    value evaluated, x where the search located its peak (`_peak_search`);
+    ``negate`` maximizes -lambda_max instead. Every bracket runs its own
+    `_peak_search` on the slope of lambda_max to ``width``; the searches
+    advance in lockstep, each round one `_slopes_at` call over every
+    bracket still open, whatever its matrix, and a bracket's result does
+    not depend on the brackets that share its rounds. A bracket whose end
+    slopes do not straddle zero is refined by `_golden_max` on values,
+    from the best point of its search. At n = 2 a round of at most
+    `_SCALAR_LANES` lanes takes the closed form on Python floats, the
+    same bits as the batched one: most of those calls refine one or two
+    brackets, where numpy's per-call cost exceeds the arithmetic.
     """
-    if Ms.shape[-1] <= 2 or len(owner) <= 1:
-        fns: dict[int, object] = {}
-        out = []
-        for k, lo, hi, seed in zip(owner, a, b, seeds):
-            f = fns.get(k)
-            if f is None:
-                g = _lammax_fn(Ms[k])
-                f = fns[k] = (lambda th, g=g: -g(th)) if negate else g
-            out.append(_golden_max(f, lo, hi, width, seed))
-        return out
     sign = -1.0 if negate else 1.0
-    own = np.asarray(owner)
-
-    def fb(lanes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return sign * _extremes_at(Ms[own[lanes]], x)[1]
-
-    xs, fs = _golden_lanes(
-        fb, a, b, width, [x for x, _ in seeds], [v for _, v in seeds]
-    )
-    return list(zip(xs.tolist(), fs.tolist()))
+    owner = np.asarray(owner).tolist()
+    rows: dict[int, list] = {}  # `_rot2` of the 2x2 matrices the scalar rounds read
+    searches = [_peak_search(lo, hi, width, seed) for lo, hi, seed in zip(a, b, seeds)]
+    out: list = [None] * len(searches)
+    pending = {i: next(s) for i, s in enumerate(searches)}
+    while pending:
+        ids = list(pending)
+        lanes = [owner[i] for i in ids for _ in pending[i]]
+        x = [t for i in ids for t in pending[i]]
+        if Ms.shape[-1] == 2 and len(x) <= _SCALAR_LANES:
+            f, g = [], []
+            for j, t in zip(lanes, x):
+                c = rows.get(j)
+                if c is None:
+                    c = rows[j] = _rot2(Ms[j])
+                z = cmath.exp(1j * t)
+                fk, gk = _eig2_slope(c, z.real, z.imag)
+                f.append(sign * fk)
+                g.append(sign * gk)
+        else:
+            f, g = (sign * v for v in _slopes_at(Ms, lanes, x))
+            f, g = f.tolist(), g.tolist()
+        k = 0
+        for i in ids:
+            m = len(pending[i])
+            try:
+                pending[i] = searches[i].send((f[k : k + m], g[k : k + m]))
+            except StopIteration as stop:
+                del pending[i]
+                out[i] = stop.value
+            k += m
+    for i, (x, fx, bracketed) in enumerate(out):
+        out[i] = (x, fx)
+        if not bracketed:
+            fn = _lammax_fn(Ms[owner[i]])
+            f1 = (lambda th, fn=fn: -fn(th)) if negate else fn
+            out[i] = _golden_max(f1, a[i], b[i], width, (x, fx))
+    return out
 
 
 def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -683,7 +749,7 @@ def _refine_runs(
 ) -> np.ndarray:
     """The largest value of each curve k, a grid sweep of
     theta -> lambda_max(H_theta(Ms[k])) (its negation with ``negate``),
-    raised by golden-refining to bracket ``width`` every cyclic run of its
+    raised by refining to bracket ``width`` every cyclic run of its
     local maxima at or above ``cuts[k]``: every run of every curve in one
     `_refine_peaks` call."""
     g = curves.shape[-1]
@@ -715,7 +781,7 @@ def _radius_near(
     256-angle sweep of every M instead and refines each grid peak within
     ``lip`` times its step of the top on its own (`_refine_runs`), since
     one search over a run holding two peaks can settle on the lower one.
-    Every golden search runs to bracket ``width``.
+    Every peak search runs to bracket ``width`` (`_refine_peaks`).
     """
     sweep = p.sweep
     g, h = sweep.grid, sweep.h
@@ -723,7 +789,10 @@ def _radius_near(
     hi = sweep.above(level)
     mask = hi >= level
     if int(mask.sum()) > g // 8:
-        his = _sweep_extremes(Ms, 256)[1]
+        # 64 matrices at a time: the sweep's temporaries grow with the stack
+        his = np.concatenate(
+            [_sweep_extremes(Ms[i : i + 64], 256)[1] for i in range(0, len(Ms), 64)]
+        )
         return _refine_runs(Ms, his, his.max(axis=1) - lip * (_TWO_PI / 256), width)
     K = Ms.shape[0]
     runs = _true_runs(mask)
@@ -784,16 +853,20 @@ def numerical_radius(T, tol: float = 1e-10) -> RadiusResult:
     """Numerical radius omega(T) = sup of |<Tx, x>| over unit vectors.
 
     Computed as max over theta of lambda_max(H_theta) on a 1024-point
-    grid with golden-section refinement of every competitive bracket.
+    grid with refinement of every competitive bracket on the slope of
+    lambda_max (`_refine_peaks`).
     The grid solves every 32nd angle, then finds its maximum by best-first
     bisection (`_Sweep.top`): each round solves the midpoints of the arcs
     whose wedge bound reaches the best value found so far, so a generic
     n = 64 T solves about 30 of 512 eigenproblems. A bracket is refined
     only when a bound on one of its grid steps reaches the grid maximum
     (the bracket test of `_Profile.peaks_above`): one that cannot refine
-    to it is left alone. The enclosure is certified by the Lipschitz bound
-    |lambda_max(H_a) - lambda_max(H_b)| <= ||T|| |a - b| applied to the
-    final refinement bracket.
+    to it is left alone. The final bracket of a peak search holds a sign
+    change of the slope, so a peak, and both its ends were evaluated; the
+    enclosure is certified by the Lipschitz bound
+    |lambda_max(H_a) - lambda_max(H_b)| <= ||T|| |a - b| applied to it.
+    (A bracket whose end slopes do not change sign falls back to golden
+    section, for which the bound holds when the search keeps the peak.)
 
     The zero matrix returns omega = 0, theta_star = 0, maximizer = e1.
     """
@@ -814,8 +887,8 @@ def crawford_number(T, tol: float = 1e-10) -> float:
 
     Equals max(0, max over theta of lambda_min(H_theta)) by convexity of
     W(T); the inner maximization reads T's cached grid sweep (the one
-    `numerical_radius` reads, whatever the tol) plus golden refinement of
-    its near-top runs. When the samples of the pruned sweep already show,
+    `numerical_radius` reads, whatever the tol) plus refinement of its
+    near-top runs on the slope of lambda_min. When the samples of the pruned sweep already show,
     by the Lipschitz bound (a + b - ||T|| delta) / 2 on each arc, that
     every lambda_max(H_theta) exceeds 2 ||T|| times the grid step, 0 lies
     clearly inside W(T) and 0.0 returns before any arc is solved.

@@ -182,11 +182,11 @@ def _quotient_limit(
 ) -> DerivativeResult:
     """Quotient limit along a halving schedule with windowed re-maximization.
 
-    Each omega(T + r e^{i theta} S) comes from `numrange._radius_near`, with a
-    golden width that shrinks with r. Once two quotients are in hand,
-    their secant slope predicts how small r must get for the quotient to
-    settle within tol, and the schedule jumps there instead of halving
-    all the way.
+    Each omega(T + r e^{i theta} S) comes from `numrange._radius_near`, with
+    peak searches to a bracket width that shrinks with r. Once two
+    quotients are in hand, their secant slope predicts how small r must
+    get for the quotient to settle within tol, and the schedule jumps
+    there instead of halving all the way.
     """
     pT = numrange._rel_profile(T)
     pS = numrange._rel_profile(S)
@@ -303,24 +303,26 @@ def derivative_via_maximizers(T, S, theta: float) -> float:
 
 
 def _hull(P: np.ndarray) -> np.ndarray:
-    """Indices of the vertices of conv(P), counter-clockwise (monotone chain)."""
+    """Indices of the vertices of conv(P), counter-clockwise: the lower and
+    upper chains of the points sorted by real, then imaginary part. Each
+    numpy pass drops, on both chains, every point that makes no left turn
+    with its current neighbours, until none does; these are exactly the
+    points a monotone chain pops."""
     pts, idx = np.unique(P, return_index=True)  # sorted by real, then imag part
-    x, y = pts.real.tolist(), pts.imag.tolist()
-
-    def chain(order) -> list[int]:
-        out: list[int] = []
-        for i in order:
-            while len(out) >= 2:
-                a, b = out[-2], out[-1]
-                if (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a]) > 0.0:
-                    break
-                out.pop()
-            out.append(i)
-        return out
-
-    if len(x) <= 2:
+    if pts.size <= 2:
         return idx
-    return idx[chain(range(len(x)))[:-1] + chain(range(len(x) - 1, -1, -1))[:-1]]
+    x, y = pts.real, pts.imag
+    m = pts.size
+    # the lower chain walks 0 .. m - 1, the upper one back again; the two
+    # share their ends, which never drop
+    order = np.concatenate((np.arange(m), np.arange(m - 2, -1, -1)))
+    while True:
+        a, b, c = order[:-2], order[1:-1], order[2:]
+        keep = (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a]) > 0.0
+        keep |= b == m - 1  # the rightmost point turns the walk; it stays too
+        if keep.all():
+            return idx[order[:-1]]
+        order = np.concatenate((order[:1], b[keep], order[-1:]))
 
 
 def _min_support(V: np.ndarray) -> complex:
@@ -567,7 +569,7 @@ def min_epsilon(T, S) -> float:
 # Every value of F, at the micro radii and along the ray searches
 # alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
 # gauge runs `numrange._radius_near` (the kernel of the quotient limit too) with
-# one fixed golden width, so the nodes and the confirmations agree.
+# one fixed peak-search width, so the nodes and the confirmations agree.
 
 
 class _Violation(Exception):
@@ -592,17 +594,21 @@ class _Gauge:
             self.gT = self.norm = _spectral_norm(T)
             self.gS = _spectral_norm(S)
 
-    def micro_batch(self, thetas: np.ndarray, r: float) -> np.ndarray:
-        """Accurate g^2 at every angle of ``thetas``, one radius r.
+    def micro_batch(self, thetas: np.ndarray, r) -> np.ndarray:
+        """Accurate g^2 at every point (thetas[k], r[k]) (r may be one
+        radius for all).
 
         The spectral norm comes from one batched Gram eigensolve; the
-        radius from `numrange._radius_near`, with golden searches down to 1e-7.
+        radius from one `numrange._radius_near` call at the largest r,
+        whose window holds those of the smaller radii, with peak searches
+        down to brackets of 1e-7.
         """
         Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
         if self.kind == "sigma":
             G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
             return np.maximum(_extremes(G)[1], 0.0)
-        w = numrange._radius_near(self.profT, Ms, r * self.gS, self.norm + r * self.lipS, 1e-7)
+        top = float(np.max(r))
+        w = numrange._radius_near(self.profT, Ms, top * self.gS, self.norm + top * self.lipS, 1e-7)
         return np.maximum(w, 0.0) ** 2
 
     def acc_sq(self, theta: float, r: float) -> float:
@@ -644,9 +650,9 @@ def _scan_minimum(
     nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
 
     def eval_nodes(ths: list[float]) -> None:
-        g1 = gauge.micro_batch(np.array(ths), rbar)
-        g2 = gauge.micro_batch(np.array(ths), 2.0 * rbar)
-        for th, w1, w2 in zip(ths, g1.tolist(), g2.tolist()):
+        k = len(ths)
+        g = gauge.micro_batch(np.array(ths * 2), np.repeat([rbar, 2.0 * rbar], k)).tolist()
+        for th, w1, w2 in zip(ths, g[:k], g[k:]):
             f1 = F(th, rbar, w1)
             f2 = F(th, 2.0 * rbar, w2)
             s_plus = max((f2 - f1) / rbar, 0.0)

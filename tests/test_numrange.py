@@ -358,43 +358,83 @@ def test_profile_cache_is_thread_safe(monkeypatch):
     assert len(numrange._PROFILE_CACHE._data) <= 2
 
 
-# --- lockstep golden refinement ----------------------------------------------
+# --- peak refinement on the slope of lambda_max -------------------------------
 
 
-def _scalar_refine(Ms, owner, a, b, width, seeds):
+def _one_bracket_refine(Ms, owner, a, b, width, seeds, negate=False):
+    """`_refine_peaks` called on each bracket alone."""
     return [
-        _golden_max(_lammax_fn(Ms[k]), lo, hi, width, seed)
+        _refine_peaks(Ms, [k], [lo], [hi], width, [seed], negate)[0]
         for k, lo, hi, seed in zip(owner, a, b, seeds)
     ]
 
 
-@pytest.mark.parametrize("n", [3, 4, 8])
-def test_lockstep_golden_matches_scalar_search_bitwise(n):
-    gen = oracle.generators(600 + n)
-    Ms = np.stack([linalg.as_matrix(gen.matrix(n)) for _ in range(3)])
-    rng = np.random.default_rng(n)
+def _lockstep_brackets(Ms, seed):
+    """Brackets of the matrices of Ms in turn, from below the stopping
+    width up to 0.3: around each matrix's top peak (its end slopes
+    straddle zero) or anywhere (they may not). Some seeds beat every
+    evaluated point, others lose."""
+    rng = np.random.default_rng(seed)
+    tops = [_profile(M).theta_star for M in Ms]
     owner, a, b, seeds = [], [], [], []
-    # bracket widths from below the stopping width up to 0.3, one matrix
-    # per lane in turn; some seeds beat every golden point, others lose
-    for i, span in enumerate([1e-9, 5e-8, 1e-7, 3e-4, 0.006, 0.02, 0.1, 0.3] * 3):
-        lo = float(rng.uniform(0.0, 6.0))
+    for i, span in enumerate([1e-9, 5e-8, 1e-7, 3e-4, 0.006, 0.02, 0.1, 0.3] * 4):
+        k = i % len(Ms)
+        lo = float(tops[k] - span * rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(0.0, 6.0))
         x0 = lo + 0.5 * span
-        f0 = _lammax_fn(Ms[i % 3])(x0) + (1.0 if i % 4 == 0 else -1.0)
-        owner.append(i % 3)
+        f0 = _lammax_fn(Ms[k])(x0) + (1.0 if i % 4 == 0 else -1.0)
+        owner.append(k)
         a.append(lo)
         b.append(lo + span)
         seeds.append((x0, f0))
-    for width in (1e-7, 1e-10, 0.0):  # 0.0: every open lane hits the step cap
-        got = _refine_peaks(Ms, owner, a, b, width, seeds)
-        assert got == _scalar_refine(Ms, owner, a, b, width, seeds)
-        assert all(type(x) is float and type(v) is float for x, v in got)
+    return owner, a, b, seeds
+
+
+def _assert_lockstep_is_one_bracket(Ms, seed, monkeypatch):
+    owner, a, b, seeds = _lockstep_brackets(Ms, seed)
+    rounds = []
+    slopes = numrange._slopes_at
+
+    def counting(M, lanes, thetas):
+        rounds.append(len(thetas))
+        return slopes(M, lanes, thetas)
+
+    monkeypatch.setattr(numrange, "_slopes_at", counting)
+    for width in (1e-7, 1e-10, 0.0):
+        # negated, the brackets around a peak hold a minimum and fall back
+        for negate in (False, True):
+            rounds.clear()
+            got = _refine_peaks(Ms, owner, a, b, width, seeds, negate)
+            if width == 0.0 and not negate and Ms.shape[-1] > 2:
+                # 0.0: every bracketed search hits the step cap (the 2x2
+                # rounds of few lanes do not pass through _slopes_at)
+                assert len(rounds) == numrange._ROOT_STEPS + 1
+            assert got == _one_bracket_refine(Ms, owner, a, b, width, seeds, negate)
+            assert all(type(x) is float and type(v) is float for x, v in got)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_lockstep_golden_matches_scalar_search_bitwise(n, monkeypatch):
+    # brackets of three matrices refined in one lockstep call equal the
+    # same brackets refined one call each, bit for bit, for the slope
+    # search and its golden fallback alike
+    gen = oracle.generators(600 + n)
+    Ms = np.stack([linalg.as_matrix(gen.matrix(n)) for _ in range(3)])
+    _assert_lockstep_is_one_bracket(Ms, n, monkeypatch)
+
+
+def test_lockstep_2x2_search_matches_one_bracket_bitwise(monkeypatch):
+    # 32 lanes take the batched closed form, and the rounds of a few lanes
+    # (and every one-bracket call) take it on Python floats: the same bits
+    gen = oracle.generators(602)
+    Ms = np.stack([linalg.as_matrix(gen.matrix(2)) for _ in range(3)])
+    _assert_lockstep_is_one_bracket(Ms, 2, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_profile_peaks_match_scalar_refinement(n):
     # a generic T and a normal T with n unit-modulus eigenvalues (n peaks,
-    # refined in lockstep for n >= 3): every kept grid peak is refined
-    # exactly as a scalar golden search refines it
+    # refined in one lockstep call): every kept grid peak is refined
+    # exactly as the search of its bracket alone refines it
     gen = oracle.generators(515)
     U = gen.unitary(n)
     phases = np.exp(1j * np.array([0.3, 2.5, 4.4][:n]))
@@ -404,16 +444,123 @@ def test_profile_peaks_match_scalar_refinement(n):
         lo, hi = _sweep_extremes(T, 1024)
         h = 2.0 * math.pi / 1024
         keep = float(hi.max()) - 2.0 * p.lip * h
-        f = _lammax_fn(T)
         ref = []
         for s, e in _cyclic_local_max_groups(hi):
             gv = float(hi[s % 1024])
             if gv >= keep:
                 seed = (0.5 * (s + e) * h, gv)
-                x, v = _golden_max(f, (s - 1) * h, (e + 1) * h, 1e-10 / p.lip, seed)
+                (x, v), = _refine_peaks(T[None], [0], [(s - 1) * h], [(e + 1) * h],
+                                        1e-10 / p.lip, [seed])
                 ref.append((x % (2.0 * math.pi), v))
         assert p.peaks == sorted(ref)
     assert len(ref) == n
+
+
+def _eigh_slope(M, theta):
+    z = cmath.exp(1j * theta)
+    w, V = np.linalg.eigh(linalg._hermitian_rot(M, z))
+    x = V[:, -1]
+    return float(w[-1]), -(z * np.vdot(x, M @ x)).imag
+
+
+def test_2x2_closed_form_slope_is_the_eigh_slope():
+    gen = oracle.generators(31)
+    rng = np.random.default_rng(31)
+    Ms = np.stack([linalg._as_unit(gen.matrix(2))[0] for _ in range(20)])
+    owner = np.repeat(np.arange(20), 30)
+    x = rng.uniform(-7.0, 7.0, size=owner.size)
+    f, g = numrange._slopes_at(Ms, owner, x)
+    ref = np.array([_eigh_slope(Ms[k], t) for k, t in zip(owner.tolist(), x.tolist())])
+    assert np.abs(f - ref[:, 0]).max() <= 8e-15
+    assert np.abs(g - ref[:, 1]).max() <= 1e-14
+    # the value is the sweep's closed form bit for bit
+    assert f.tolist() == numrange._extremes_at(Ms[owner], x)[1].tolist()
+    # rad = 0: a scalar matrix at every angle, and a kink of lambda_max of
+    # diag(1.5i, -0.5i) at theta = 0, where H_theta's diagonal ties: the
+    # slope is m', the derivative of the mean -Im(z (t00 + t11) / 2)
+    c = 0.3 - 0.8j
+    f, g = numrange._slopes_at((c * np.eye(2))[None], [0, 0], [0.4, 2.0])
+    for t, fv, gv in zip((0.4, 2.0), f.tolist(), g.tolist()):
+        want = _eigh_slope(c * np.eye(2), t)
+        assert abs(fv - want[0]) <= 1e-15 and abs(gv - want[1]) <= 1e-15
+    f, g = numrange._slopes_at(np.diag([1.5j, -0.5j])[None], [0], [0.0])
+    assert (f[0], g[0]) == (0.0, -0.5)
+
+
+def _bisect_peak(M, a, b):
+    """80 bisection steps on the sign of the eigh slope: (x, lambda_max)."""
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        if _eigh_slope(M, m)[1] > 0.0:
+            a = m
+        else:
+            b = m
+    return m, _eigh_slope(M, m)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+def test_refined_peaks_match_slope_bisection(n):
+    gen = oracle.generators(4100 + n)
+    h = 2.0 * math.pi / 1024
+    for _ in range(3):
+        T = linalg._as_unit(gen.matrix(n))[0]
+        p = _profile(T)
+        for x, v in p.peaks:
+            xr, vr = _bisect_peak(T, x - h, x + h)
+            assert abs(v - vr) <= 8.0 * p.sweep.rho, (n, x, v, vr)
+            assert abs(x - xr) <= 1e-9, (n, x, xr)
+
+
+def test_peak_search_falls_back_to_golden_without_a_sign_change():
+    # a bracket on the rising flank of the top peak: its end slopes are
+    # both positive, so it is refined by golden section on values, from the
+    # better end, and reaches the bracket's right end
+    gen = oracle.generators(515)
+    for n in (2, 3):
+        T = linalg._as_unit(gen.matrix(n))[0]
+        top = _profile(T).theta_star
+        a, b = top - 0.3, top - 0.1
+        f, g = numrange._slopes_at(T[None], [0, 0], [a, b])
+        assert (g > 0.0).all()
+        seed = (a, -math.inf)
+        (x, v), = _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed])
+        start = (b, float(f[1])) if f[1] > f[0] else (a, float(f[0]))
+        assert (x, v) == _golden_max(_lammax_fn(T), a, b, 1e-10, start)
+        assert b - 1e-9 <= x <= b
+        # with negate, the same bracket falls back too: its slopes are
+        # both negative
+        (x, v), = _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed], negate=True)
+        start = (b, -float(f[1])) if -f[1] > -f[0] else (a, -float(f[0]))
+        assert (x, v) == _golden_max(lambda t: -_lammax_fn(T)(t), a, b, 1e-10, start)
+        assert a <= x <= a + 1e-9
+
+
+def test_radius_peak_of_a_generic_n64_matrix_takes_few_eigensolves(monkeypatch):
+    # the slope search refines a peak to 1e-10 / ||T|| rad in 5-8
+    # eigensolves, its two bracket ends included; golden section on values
+    # took 41-44
+    monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+    monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+    brackets, lanes = [], []
+    refine, slopes = numrange._refine_peaks, numrange._slopes_at
+
+    def counting_refine(Ms, owner, *args, **kw):
+        brackets.append(len(owner))
+        return refine(Ms, owner, *args, **kw)
+
+    def counting_slopes(Ms, owner, thetas):
+        lanes.append(len(thetas))
+        return slopes(Ms, owner, thetas)
+
+    monkeypatch.setattr(numrange, "_refine_peaks", counting_refine)
+    monkeypatch.setattr(numrange, "_slopes_at", counting_slopes)
+    gen = oracle.generators(4243)
+    for _ in range(3):
+        brackets.clear()
+        lanes.clear()
+        numerical_radius(gen.matrix(64))
+        assert sum(brackets) >= 1
+        assert sum(lanes) <= 10 * sum(brackets), (brackets, lanes)
 
 
 @pytest.mark.parametrize("base", ["square-zero-2", "square-zero-3", "square-zero-4", "J+J"])

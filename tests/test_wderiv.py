@@ -706,6 +706,78 @@ def test_micro_batch_matches_per_angle_acc_sq(scale):
         assert got.tolist() == ref
 
 
+def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
+    # the scan's nodes take rbar and 2 rbar in one micro_batch call, whose
+    # window (at the larger radius) holds the smaller one's: each value is
+    # the accurate g^2 of acc_sq at its own radius
+    gen = oracle.generators(78)
+    for base, n in (("disk", 2), ("generic", 2), ("generic", 3)):
+        T = gen.nilpotent_rank_one(n) if base == "disk" else gen.matrix(n)
+        T = linalg.as_matrix(T)
+        S = linalg.as_matrix(gen.matrix(n))
+        for kind in ("omega", "sigma"):
+            gauge = _Gauge(T, S, kind)
+            r = math.sqrt(DECISION_TOL * gauge.norm**2) / (4.0 * gauge.gS)
+            thetas = np.arange(16) * (2.0 * math.pi / 16)
+            got = gauge.micro_batch(np.tile(thetas, 2), np.repeat([r, 2.0 * r], 16))
+            ref = [gauge.acc_sq(float(t), rr) for rr in (r, 2.0 * r) for t in thetas]
+            assert np.abs(got - ref).max() <= 1e-13 * gauge.norm**2
+    calls = []
+    micro = _Gauge.micro_batch
+
+    def counted(self, thetas, r):
+        calls.append(np.size(r))
+        return micro(self, thetas, r)
+
+    monkeypatch.setattr(_Gauge, "micro_batch", counted)
+    assert is_bj_orthogonal(T, S, 0.5, "direct") == is_bj_orthogonal(T, S, 0.5)
+    # the 64 base nodes at two radii, then one call per bisected node
+    assert calls[0] == 128 and set(calls[1:]) <= {1, 2}
+
+
+def _chain_hull(P):
+    """The monotone-chain hull that `wderiv._hull` must reproduce."""
+    pts, idx = np.unique(P, return_index=True)
+    x, y = pts.real.tolist(), pts.imag.tolist()
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                if (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a]) > 0.0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    if len(x) <= 2:
+        return idx
+    return idx[chain(range(len(x)))[:-1] + chain(range(len(x) - 1, -1, -1))[:-1]]
+
+
+def test_hull_is_the_monotone_chain():
+    # random sets, points near a circle, lattice points (collinear runs),
+    # points on one line, and repeated points: the same vertex indices in
+    # the same counter-clockwise order
+    rng = np.random.default_rng(5)
+    for i in range(600):
+        m = int(rng.integers(1, 80))
+        kind = i % 5
+        if kind == 0:
+            P = rng.normal(size=m) + 1j * rng.normal(size=m)
+        elif kind == 1:
+            P = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, m)) * (1.0 + 1e-12 * rng.normal(size=m))
+        elif kind == 2:
+            P = rng.integers(-3, 4, size=m) + 1j * rng.integers(-3, 4, size=m)
+        elif kind == 3:
+            P = rng.integers(-5, 5, size=m) * (1.0 + 2.0j)
+        else:
+            P = np.repeat(rng.normal(size=m) + 1j * rng.normal(size=m), 3)
+        P = np.asarray(P, dtype=complex)
+        assert wderiv._hull(P).tolist() == _chain_hull(P).tolist(), (i, m)
+
+
 def test_acc_sq_never_misses_a_dense_sweep_peak():
     # acc_sq takes T's narrow window at micro radii and a full sweep of
     # T + lam S otherwise; either way it must reach the radius a dense
