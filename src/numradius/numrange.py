@@ -775,13 +775,14 @@ def _radius_near(
     ``p`` is T's profile, ``reach`` is r omega(S) and ``lip`` is
     ||T|| + r ||S||. The support function of each M is within ``reach`` of
     T's, so its peak lies where T's own support function is within
-    2 ``reach`` of omega(T). When that window covers at most 1/8 of T's
-    grid, each of its runs is searched whole, seeded at T's grid argmax in
-    the run. A wider window (a disk-like range, or a large r) takes a
-    256-angle sweep of every M instead and refines each grid peak within
-    ``lip`` times its step of the top on its own (`_refine_runs`), since
-    one search over a run holding two peaks can settle on the lower one.
-    Every peak search runs to bracket ``width`` (`_refine_peaks`).
+    2 ``reach`` of omega(T). One search over two peaks can settle on the
+    lower one. So when that window covers at most 1/8 of T's grid, each
+    of its runs is cut at T's interior grid minima and each piece is
+    searched whole, seeded at T's grid argmax in it. A wider window (a
+    disk-like range, or a large r) takes a 256-angle sweep of every M
+    instead and refines each grid peak within ``lip`` times its step of
+    the top on its own (`_refine_runs`). Every peak search runs to
+    bracket ``width`` (`_refine_peaks`).
     """
     sweep = p.sweep
     g, h = sweep.grid, sweep.h
@@ -795,11 +796,16 @@ def _radius_near(
         )
         return _refine_runs(Ms, his, his.max(axis=1) - lip * (_TWO_PI / 256), width)
     K = Ms.shape[0]
-    runs = _true_runs(mask)
-    peaks = [s + int(np.argmax(hi[np.arange(s, e + 1) % g])) for s, e in runs]
-    owner = np.repeat(np.arange(K), len(runs))
-    a = [(s - 1) * h for s, _ in runs] * K
-    b = [(e + 1) * h for _, e in runs] * K
+    pieces = []  # (a, b) grid indices of each bracket: a run, cut at its dips
+    for s, e in _true_runs(mask):
+        v = hi[np.arange(s, e + 1) % g]
+        dips = s + 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
+        ends = [s - 1, *dips.tolist(), e + 1]
+        pieces += zip(ends[:-1], ends[1:])
+    peaks = [s + 1 + int(np.argmax(hi[np.arange(s + 1, e) % g])) for s, e in pieces]
+    owner = np.repeat(np.arange(K), len(pieces))
+    a = [s * h for s, _ in pieces] * K
+    b = [e * h for _, e in pieces] * K
     x0 = [(k % g) * h for k in peaks] * K
     seeds = list(zip(x0, _extremes_at(Ms[owner], x0)[1].tolist()))
     best = np.full(K, -math.inf)

@@ -15,9 +15,10 @@ both with code of its own and neither changing a bit of its result:
 - it prunes lambda with the secant bound. If p in W(M) has
   |p| = omega(M), then lambda_max(H_phi) >= omega(M) cos(phi + arg p),
   and every angle lies within pi/m of one of m equispaced angles, so
-  omega(M) <= sec(pi/m) max_k lambda_max(H_{2 pi k/m}). A coarse sweep
-  over every 32nd scan angle brackets each radius; only the lambda
-  whose bracket can still hold the minimum margin get the full sweep.
+  omega(M) <= sec(pi/m) max_k lambda_max(H_{2 pi k/m}). Coarse sweeps
+  over every 256th, 64th, 16th and 4th scan angle bracket each radius
+  in turn, each only for the lambda whose bracket can still hold the
+  minimum margin; the lambda left at the end get the full sweep.
 
 Randomness: every generator draws from numpy's PCG64 (the 64-bit
 permuted-congruential generator, fully specified and stable across
@@ -205,10 +206,9 @@ def ellipse_radius_2x2(T) -> float:
 
 
 _SCAN_GRID = 1024
-# the pruning sweep solves every _PRUNE_STEP-th scan angle, a subset of
-# the full sweep's angles, so its maximum is an exact lower bound
-_PRUNE_STEP = 32
-_PRUNE_COS = math.cos(math.pi * _PRUNE_STEP / _SCAN_GRID)
+# each pruning tier solves every step-th scan angle, a subset of the full
+# sweep's angles, so its maximum is an exact lower bound
+_PRUNE_STEPS = (256, 64, 16, 4)
 # bytes of one batched H stack; bounds the scan's working set
 _STACK_BYTES = 1 << 19
 
@@ -260,14 +260,15 @@ def direct_lambda_scan(
     solves only phi < pi and reads phi + pi off lambda_min, since
     H_{phi+pi} = -H_phi; it shares no code with ``numrange``.
 
-    Only the lambda that can still hold the minimum get that sweep. A
-    sweep over every 32nd of its angles gives each radius an exact
-    lower bound lo and, by the secant bound (module docstring), an upper
-    bound lo / cos(pi/32) plus a rounding allowance. F is the same
-    floating expression for every bound and nondecreasing in the radius,
-    so a lambda whose lower F exceeds the least upper F is neither the
-    minimum nor tied with it: the result is bit for bit that of the
-    full scan.
+    Only the lambda that can still hold the minimum get that sweep. Each
+    pruning tier (`_PRUNE_STEPS`) sweeps the lambda still kept over every
+    step-th of its angles, the same doubles through the same eigensolver,
+    which gives each radius an exact lower bound lo and, by the secant
+    bound (module docstring), an upper bound lo / cos(pi step / 1024)
+    plus a rounding allowance. F is the same floating expression for
+    every bound and nondecreasing in the radius, so a lambda whose lower
+    F exceeds the least upper F of a tier is neither the minimum nor
+    tied with it: the result is bit for bit that of the full scan.
 
     Returns (min margin, argmin lambda), the first minimum in order of
     radius, then angle. A negative margin witnesses a violation of the
@@ -295,9 +296,12 @@ def direct_lambda_scan(
     def margin(w, r):
         return w * w - wT * wT + 2.0 * eps * r * wT * wS
 
-    lo = _scan_omegas(T, S, lams, phis[::_PRUNE_STEP])
     slack = 1e-12 * (np.linalg.norm(T) + rs * np.linalg.norm(S))
-    keep = np.flatnonzero(margin(lo, rs) <= margin(lo / _PRUNE_COS + slack, rs).min())
+    keep = np.arange(lams.size)
+    for step in _PRUNE_STEPS:
+        lo, r = _scan_omegas(T, S, lams[keep], phis[::step]), rs[keep]
+        up = margin(lo / math.cos(math.pi * step / _SCAN_GRID) + slack[keep], r)
+        keep = keep[margin(lo, r) <= up.min()]
     margins = margin(_scan_omegas(T, S, lams[keep], phis), rs[keep])
     k = int(np.argmin(margins))
     return float(margins[k]), complex(lams[keep[k]])

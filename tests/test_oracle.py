@@ -267,14 +267,22 @@ def _pruning_cases():
         "S-equals-T": (S, S.copy()),
         "hermitian-T": (gen.hermitian(3), gen.matrix(3)),
         # the range of T + lambda S is one point, of argument pi/32 plus that
-        # of 1 + lambda: for real lambda it sits halfway between the pruning
-        # sweep's angles, where lo / cos(pi/32) is omega itself
+        # of 1 + lambda: for real lambda it is one of the 16-step tier's
+        # angles, where lo is omega itself
         "rotated-identity": (half, half.copy()),
         "rotated-identity-generic-S": (half, gen.matrix(3)),
     }
     for name, (T, S) in edges.items():
         for grid in ((16, 16), (17, 19)):
             yield pytest.param(T, S, grid, id=f"{name}-{grid[0]}x{grid[1]}")
+    T, S = gen.matrix(4), gen.matrix(4)
+    for grid in ((16, 32), (32, 64)):
+        yield pytest.param(T, S, grid, id=f"generic-n4-{grid[0]}x{grid[1]}")
+    for step in oracle._PRUNE_STEPS:
+        # for real lambda the point sits halfway between the angles of this
+        # tier, where lo / cos(pi step / 1024) is omega itself
+        T = cmath.exp(1j * math.pi * step / 1024) * np.eye(3)
+        yield pytest.param(T, T.copy(), (16, 16), id=f"rotated-identity-step{step}")
 
 
 @pytest.mark.parametrize("T, S, grid", list(_pruning_cases()))
@@ -282,6 +290,31 @@ def test_pruned_scan_is_the_unpruned_scan_bit_for_bit(T, S, grid):
     epsilons = (0.0, 0.5, 0.98)
     for eps, ref in zip(epsilons, _unpruned_scan(T, S, epsilons, *grid)):
         assert direct_lambda_scan(T, S, eps, *grid) == ref, eps
+
+
+def test_tiered_pruning_halves_the_scan_work(monkeypatch):
+    # matrix-angle eigenproblems solved by the scan's sweeps of T + lambda S,
+    # against the single prune over every 32nd angle with the same bounds
+    gen = generators(7101)
+    T, S = gen.matrix(4), gen.matrix(4)
+    solved = []
+    scan_omegas = oracle._scan_omegas
+
+    def counted(T, S, lams, phis):
+        solved[-1] += lams.size * phis.size
+        return scan_omegas(T, S, lams, phis)
+
+    monkeypatch.setattr(oracle, "_scan_omegas", counted)
+    out = []
+    for steps in ((32,), oracle._PRUNE_STEPS):
+        monkeypatch.setattr(oracle, "_PRUNE_STEPS", steps)
+        solved.append(0)
+        out.append(direct_lambda_scan(T, S, 0.5, 16, 32))
+    assert out[0] == out[1]
+    one_tier, tiered = solved
+    # every lambda on 16 angles, then each one kept on all 512
+    assert one_tier >= 512 * 16 + 512
+    assert 2 * tiered <= one_tier, (tiered, one_tier)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1, 1.0, 3.0])

@@ -446,6 +446,28 @@ def test_min_epsilon_scale_invariant():
         assert abs(e1 - e2) < 1e-6
 
 
+def test_min_epsilon_searches_each_peak_of_a_window_run():
+    # pair 80 of the validate benchmark's seed-9192 pool (n = 3): T has two
+    # peaks 2e-4 apart in value, and at r ~ 1e-8 both lie in one run of the
+    # window that _radius_near searches. One search over the whole run kept
+    # its seed, 2.1e-7 below omega(T + lam S), so the quotient limit read
+    # -41.9 against an active-set support of -0.243 and all three calls
+    # raised ConvergenceError
+    gen = oracle.generators(9192)
+    rng = np.random.default_rng(9192)
+    for i in range(80):
+        n = 2 + i % 3
+        T, S, U = gen.matrix(n), gen.matrix(n), gen.unitary(n)
+        rot = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rng.integers(2**31)
+    Uh = U.conj().T
+    estar = 0.25127088
+    for pair in ((T, S), (U @ T @ Uh, U @ S @ Uh), (T, rot * S)):
+        assert abs(min_epsilon(*pair) - estar) <= 1e-7
+    for eps in (0.2, 0.3, 0.6, 0.9):
+        assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal == (eps > estar)
+
+
 # --- orthogonality deciders ---------------------------------------------------
 
 
