@@ -35,7 +35,9 @@ level read (the bracket test). Every value a caller reads is the full
 sweep's bit for bit. The brackets of a call, possibly of several
 matrices, are refined in lockstep: each step makes one batched
 evaluation (`_slopes_at`) over every bracket still open, and a
-bracket's result does not depend on the others. Sweep results are
+bracket's result does not depend on the others. A call of more than
+`_SCALAR_LANES` brackets also takes each step's arithmetic as one numpy
+pass over them (`_peak_lanes`), the same bits. Sweep results are
 memoized per matrix because derivative and orthogonality code re-reads
 them heavily.
 
@@ -59,6 +61,7 @@ where T's is within 2 r omega(S) of omega(T) are searched.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 import threading
@@ -107,7 +110,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # step cap of one peak search; on the benchmark pools a search takes 3-10
 _ROOT_STEPS = 200
-# n = 2 rounds of at most this many lanes are evaluated on Python floats
+# a peak-search call of at most this many brackets runs one generator per
+# bracket (`_peak_search`), and at n = 2 its rounds of at most this many
+# lanes are evaluated on Python floats; a call of more brackets steps them
+# all as arrays (`_peak_lanes`). The same bits either way
 _SCALAR_LANES = 16
 # values within _TIE |f| of each other tie in a peak search: a computed
 # lambda_max(H_theta) is within about n u ||T|| <= 2 n u omega(T) of exact
@@ -222,6 +228,11 @@ class _Profile:
         _, V = np.linalg.eigh(_hermitian_rot(T, cmath.exp(1j * self.theta_star)))
         self.maximizer = _freeze(np.ascontiguousarray(V[:, -1]))
 
+    @functools.cached_property
+    def floor(self) -> float:
+        """``sweep.floor`` at T's Lipschitz constant ||T||."""
+        return self.sweep.floor(self.lip)
+
     @property
     def peaks(self) -> list[tuple[float, float]]:
         return self.peaks_above(-math.inf)
@@ -251,7 +262,7 @@ class _Profile:
         g = sweep.grid
         low = max(self._keep, min(level, level * math.cos(0.5 * sweep.h)) - 4.0 * sweep.rho)
         hi = sweep.above(low)
-        s, e = np.array(_cyclic_local_max_groups(hi, low), dtype=np.intp).reshape(-1, 2).T
+        _, s, e = _cyclic_runs(hi, low)
         pick = ~self._done[s % g]
         s, e = s[pick], e[pick]
         gv = hi[s % g]
@@ -651,26 +662,120 @@ def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
     return (cur[0] if cur[1] >= fb - _TIE * abs(fb) else xb), fb, True
 
 
+def _peak_lanes(Ms: np.ndarray, owner, a, b, seeds, width: float, sign: float):
+    """`_peak_search` of every bracket at once, on arrays: lists (x, f,
+    bracketed), each bracket's `_peak_search` result bit for bit.
+
+    A round is one masked numpy step of zeroin over every open bracket,
+    operation for operation the generator's, then one `_slopes_at` call;
+    a bracket leaves the arrays once it stops. Every open bracket steps
+    once a round, so the round count is each one's step count."""
+    n = len(owner)
+    fab, gab = _slopes_at(Ms, np.concatenate((owner, owner)), np.concatenate((a, b)))
+    fab, gab = sign * fab, sign * gab
+    fa, fz, ga, gz = fab[:n], fab[n:], gab[:n], gab[n:]
+    xb, fb = seeds.T
+    xb, fb = np.where(fa > fb, a, xb), np.where(fa > fb, fa, fb)
+    xb, fb = np.where(fz > fb, b, xb), np.where(fz > fb, fz, fb)
+    bracketed = (ga >= 0.0) & (0.0 >= gz)
+    x_out, f_out = xb.copy(), fb.copy()
+    ids = np.flatnonzero(bracketed)
+    lane, xb, fb = owner[ids], xb[ids], fb[ids]
+    # zeroin's points as (x, f, g) arrays: cur (c), prev (p) and far (r)
+    cx, cf, cg = b[ids], fz[ids], gz[ids]
+    px, pf, pg = a[ids], fa[ids], ga[ids]
+    rx, rf, rg = px, pf, pg
+    d = e = cx - px
+
+    def settle(done):  # the results of the lanes ``done``
+        x_out[ids[done]] = np.where(cf >= fb - _TIE * np.abs(fb), cx, xb)[done]
+        f_out[ids[done]] = fb[done]
+
+    for _ in range(_ROOT_STEPS):
+        sw = np.abs(rg) < np.abs(cg)
+        px, cx, rx = np.where(sw, cx, px), np.where(sw, rx, cx), np.where(sw, cx, rx)
+        pf, cf, rf = np.where(sw, cf, pf), np.where(sw, rf, cf), np.where(sw, cf, rf)
+        pg, cg, rg = np.where(sw, cg, pg), np.where(sw, rg, cg), np.where(sw, cg, rg)
+        xm = 0.5 * (rx - cx)
+        done = (np.abs(rx - cx) <= width) | (cg == 0.0)
+        if done.any():
+            settle(done)
+            keep = ~done
+            (ids, lane, xb, fb, cx, cf, cg, px, pf, pg, rx, rf, rg, xm, d, e) = (
+                v[keep] for v in (ids, lane, xb, fb, cx, cf, cg, px, pf, pg, rx, rf, rg, xm, d, e)
+            )
+            if not ids.size:
+                break
+        tol1 = 2.0 * _EPS * np.abs(cx) + 0.5 * width
+        nd, ne = xm.copy(), xm.copy()
+        j = np.flatnonzero((np.abs(e) >= tol1) & (np.abs(pg) > np.abs(cg)))
+        if j.size:
+            # inverse quadratic interpolation, or the secant where prev is far
+            g, s, xj = cg[j], cg[j] / pg[j], xm[j]
+            p, q = 2.0 * xj * s, 1.0 - s
+            k = np.flatnonzero(px[j] != rx[j])
+            if k.size:
+                q2, r2 = pg[j[k]] / rg[j[k]], g[k] / rg[j[k]]
+                p[k] = s[k] * (2.0 * xj[k] * q2 * (q2 - r2) - (cx[j[k]] - px[j[k]]) * (r2 - 1.0))
+                q[k] = (q2 - 1.0) * (r2 - 1.0) * (s[k] - 1.0)
+            q = np.where(p > 0.0, -q, q)
+            p = np.abs(p)
+            ok = (2.0 * p < 3.0 * xj * q - np.abs(tol1[j] * q)) & (p < np.abs(0.5 * e[j] * q))
+            nd[j[ok]] = p[ok] / q[ok]
+            ne[j[ok]] = d[j[ok]]
+        d, e = nd, ne
+        px, pf, pg = cx, cf, cg
+        cx = cx + np.where(np.abs(d) > tol1, d, np.copysign(np.minimum(tol1, np.abs(xm)), xm))
+        cf, cg = _slopes_at(Ms, lane, cx)
+        cf, cg = sign * cf, sign * cg
+        xb, fb = np.where(cf > fb, cx, xb), np.where(cf > fb, cf, fb)
+        flip = ((cg > 0.0) == (rg > 0.0)) & (cg != 0.0)
+        rx, rf, rg = np.where(flip, px, rx), np.where(flip, pf, rf), np.where(flip, pg, rg)
+        d, e = np.where(flip, cx - px, d), np.where(flip, cx - px, e)
+    settle(np.ones(ids.size, dtype=bool))
+    return x_out.tolist(), f_out.tolist(), bracketed.tolist()
+
+
 def _refine_peaks(
     Ms: np.ndarray, owner, a, b, width: float, seeds, negate: bool = False
 ) -> list[tuple[float, float]]:
     """Refine the peak of bracket i of theta -> lambda_max(H_theta(Ms[owner[i]])).
 
-    Returns (x, f) of every bracket, seeded with ``seeds[i]``: f the best
-    value evaluated, x where the search located its peak (`_peak_search`);
-    ``negate`` maximizes -lambda_max instead. Every bracket runs its own
-    `_peak_search` on the slope of lambda_max to ``width``; the searches
-    advance in lockstep, each round one `_slopes_at` call over every
-    bracket still open, whatever its matrix, and a bracket's result does
-    not depend on the brackets that share its rounds. A bracket whose end
-    slopes do not straddle zero is refined by `_golden_max` on values,
-    from the best point of its search. At n = 2 a round of at most
+    Returns (x, f) of every bracket, seeded with ``seeds[i]`` (an (x, f)
+    pair): f the best value evaluated, x where the search located its
+    peak (`_peak_search`); ``negate`` maximizes -lambda_max instead. Every
+    bracket runs its own `_peak_search` on the slope of lambda_max to
+    ``width``; the searches advance in lockstep, each round one
+    `_slopes_at` call over every bracket still open, whatever its matrix,
+    and a bracket's result does not depend on the brackets that share its
+    rounds. A call of more than `_SCALAR_LANES` brackets steps them all
+    as arrays (`_peak_lanes`), the same bits as the generators, which cost
+    a Python send per bracket and round. A bracket whose end slopes do
+    not straddle zero is refined by `_golden_max` on values, from the
+    best point of its search. At n = 2 a generator round of at most
     `_SCALAR_LANES` lanes takes the closed form on Python floats, the
     same bits as the batched one: most of those calls refine one or two
     brackets, where numpy's per-call cost exceeds the arithmetic.
     """
     sign = -1.0 if negate else 1.0
-    owner = np.asarray(owner).tolist()
+    owner = np.asarray(owner)
+    if owner.size > _SCALAR_LANES:
+        arrays = (np.asarray(v, dtype=float) for v in (a, b, seeds))
+        out = list(zip(*_peak_lanes(Ms, owner, *arrays, width, sign)))
+    else:
+        out = _peak_rounds(Ms, owner.tolist(), a, b, seeds, width, sign)
+    for i, (x, fx, bracketed) in enumerate(out):
+        out[i] = (x, fx)
+        if not bracketed:
+            fn = _lammax_fn(Ms[owner[i]])
+            f1 = (lambda th, fn=fn: -fn(th)) if negate else fn
+            out[i] = _golden_max(f1, a[i], b[i], width, (x, fx))
+    return out
+
+
+def _peak_rounds(Ms: np.ndarray, owner: list, a, b, seeds, width: float, sign: float):
+    """`_peak_search` of every bracket, one generator each, advanced in
+    lockstep rounds: their (x, f, bracketed) results."""
     rows: dict[int, list] = {}  # `_rot2` of the 2x2 matrices the scalar rounds read
     searches = [_peak_search(lo, hi, width, seed) for lo, hi, seed in zip(a, b, seeds)]
     out: list = [None] * len(searches)
@@ -701,47 +806,40 @@ def _refine_peaks(
                 del pending[i]
                 out[i] = stop.value
             k += m
-    for i, (x, fx, bracketed) in enumerate(out):
-        out[i] = (x, fx)
-        if not bracketed:
-            fn = _lammax_fn(Ms[owner[i]])
-            f1 = (lambda th, fn=fn: -fn(th)) if negate else fn
-            out[i] = _golden_max(f1, a[i], b[i], width, (x, fx))
     return out
 
 
-def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of True, as (start, end inclusive).
+def _cyclic_runs(x: np.ndarray, low=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal cyclic runs along the last axis of a (K, g) stack, or of one
+    (g,) row: of True in a mask, or, given ``low`` (one value for every
+    row, or one per row), of grid values at least ``low`` that weakly
+    dominate both neighbours (the values of such a run are equal).
 
-    A run crossing the wrap point is merged into one with start < 0; an
-    all-True mask is the single run (0, size - 1).
+    Returns int arrays (row, start, end inclusive), row by row in order of
+    start. A run crossing the wrap point is merged into one with
+    start < 0; an all-True row is the single run (0, g - 1).
     """
-    g = mask.size
-    # i is in edge when mask[i] != mask[i + 1]: a run ends at i or starts at
-    # i + 1, alternately
-    edge = np.flatnonzero(mask[1:] != mask[:-1]).tolist()
-    if not edge:
-        return [(0, g - 1)] if mask[0] else []
-    if mask[0]:
-        edge.insert(0, -1)
-    if mask[-1]:
-        edge.append(g - 1)
-    starts, ends = [i + 1 for i in edge[0::2]], edge[1::2]
-    if len(starts) > 1 and starts[0] == 0 and ends[-1] == g - 1:
-        starts[0] = starts.pop() - g
-        ends.pop()
-    return list(zip(starts, ends))
-
-
-def _cyclic_local_max_groups(vals: np.ndarray, low: float = -math.inf) -> list[tuple[int, int]]:
-    """Cyclic runs of grid values that weakly dominate both neighbours,
-    those of value at least ``low`` (the values of a run are equal)."""
-    g = vals.size
-    idx = np.flatnonzero(vals >= low)
-    v = vals[idx]
-    mask = np.zeros(g, dtype=bool)
-    mask[idx[(v >= vals[idx - 1]) & (v >= vals[(idx + 1) % g])]] = True
-    return _true_runs(mask)
+    x = np.atleast_2d(x)
+    K, g = x.shape
+    if low is not None:
+        xw = np.concatenate((x[:, -1:], x, x[:, :1]), axis=1)
+        x = (x >= np.reshape(low, (-1, 1))) & (x >= xw[:, :-2]) & (x >= xw[:, 2:])
+    # each row between two False columns: in the flat padded mask, a run
+    # starts after a rise and ends before the next fall
+    f = np.zeros((K, g + 2), dtype=bool)
+    f[:, 1:-1] = x
+    f = f.ravel()
+    row, col = np.divmod((f[1:] != f[:-1]).nonzero()[0], g + 2)
+    row, s, e = row[0::2], col[0::2], col[1::2] - 1
+    wrap = x[:, 0] & x[:, -1]
+    if np.count_nonzero(wrap):
+        # a row's run through the wrap point: its last run takes over its
+        # first (unless one run fills the row)
+        last = (e == g - 1) & (s > 0) & wrap[row]
+        s[(s == 0) & (e < g - 1) & wrap[row]] = s[last] - g
+        keep = ~last
+        row, s, e = row[keep], s[keep], e[keep]
+    return row, s, e
 
 
 def _refine_runs(
@@ -754,15 +852,12 @@ def _refine_runs(
     `_refine_peaks` call."""
     g = curves.shape[-1]
     h = _TWO_PI / g
-    owner, a, b, seeds = [], [], [], []
-    for k, (curve, cut) in enumerate(zip(curves, cuts)):
-        for s, e in _cyclic_local_max_groups(curve, cut):
-            owner.append(k)
-            a.append((s - 1) * h)
-            b.append((e + 1) * h)
-            seeds.append((0.5 * (s + e) * h, float(curve[s % g])))
+    row, s, e = _cyclic_runs(curves, cuts)
+    seeds = list(zip((0.5 * (s + e) * h).tolist(), curves[row, s % g].tolist()))
+    a, b = ((s - 1) * h).tolist(), ((e + 1) * h).tolist()
+    refined = _refine_peaks(Ms, row, a, b, width, seeds, negate)
     best = curves.max(axis=-1)
-    for k, (_, fx) in zip(owner, _refine_peaks(Ms, owner, a, b, width, seeds, negate)):
+    for k, (_, fx) in zip(row.tolist(), refined):
         best[k] = max(best[k], fx)
     return best
 
@@ -781,15 +876,20 @@ def _radius_near(
     searched whole, seeded at T's grid argmax in it. A wider window (a
     disk-like range, or a large r) takes a 256-angle sweep of every M
     instead and refines each grid peak within ``lip`` times its step of
-    the top on its own (`_refine_runs`). Every peak search runs to
+    the top on its own (`_refine_runs`); a window level at or below the
+    floor of T's curve (`_Sweep.floor`) holds every grid angle, so it is
+    wide without solving T's sweep down to it. Every peak search runs to
     bracket ``width`` (`_refine_peaks`).
     """
     sweep = p.sweep
     g, h = sweep.grid, sweep.h
     level = p.omega - (2.0 * reach + 0.5 * p.lip * h + 1e-12 * p.omega)
-    hi = sweep.above(level)
-    mask = hi >= level
-    if int(mask.sum()) > g // 8:
+    wide = level <= p.floor
+    if not wide:
+        hi = sweep.above(level)
+        mask = hi >= level
+        wide = np.count_nonzero(mask) > g // 8
+    if wide:
         # 64 matrices at a time: the sweep's temporaries grow with the stack
         his = np.concatenate(
             [_sweep_extremes(Ms[i : i + 64], 256)[1] for i in range(0, len(Ms), 64)]
@@ -797,7 +897,8 @@ def _radius_near(
         return _refine_runs(Ms, his, his.max(axis=1) - lip * (_TWO_PI / 256), width)
     K = Ms.shape[0]
     pieces = []  # (a, b) grid indices of each bracket: a run, cut at its dips
-    for s, e in _true_runs(mask):
+    runs = _cyclic_runs(mask)
+    for s, e in zip(runs[1].tolist(), runs[2].tolist()):
         v = hi[np.arange(s, e + 1) % g]
         dips = s + 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
         ends = [s - 1, *dips.tolist(), e + 1]

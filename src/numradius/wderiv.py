@@ -544,12 +544,17 @@ def min_epsilon(T, S) -> float:
 # normalized margin F(theta, r) / (2r) is nondecreasing in r. One
 # accurate sample at a micro radius rbar therefore bounds the whole
 # tail: F(theta, r) >= (r / rbar) F(theta, rbar) for r >= rbar. The
-# strip r < rbar is covered by a curvature bound: g(M)^2 is a max of
-# squares of r-affine functions with slopes bounded by g(S), so
-# d2F/dr2 <= 2 g(S)^2 wherever smooth, and the left-derivative secant
-# F(r) >= F(rbar) - (rbar - r) * max(s, 0), s = (F(2 rbar) - F(rbar)) / rbar,
-# loses at most ~4 g(S)^2 rbar^2 against the kinks; rbar is sized so
-# that loss stays under half the decision tolerance. Across rays the
+# strip r < rbar is covered by convexity alone: the secant slope
+# s = (F(2 rbar) - F(rbar)) / rbar dominates the left derivative at rbar,
+# so F(r) >= F(rbar) - (rbar - r) * max(s, 0) there (the strip bound).
+# Its loss is about rbar^2 times the curvature of F, and rbar is sized
+# for a curvature of 2 g(S)^2, a loss of 4 g(S)^2 rbar^2 = tau / 4. That
+# is the curvature of one member of the max of squares of r-affine
+# functions that g(M)^2 is, not of the max: its maximizer moves with r,
+# and the max curves more. In the radius gauge, on four pairs whose
+# scans end at their caps, (F(2 rbar) - 2 F(rbar)) / (2 rbar^2) measured
+# at the nodes reads 2.0-2.7 times 2 g(S)^2: the bound stays valid, but
+# flags more nodes as candidates than its sizing assumes. Across rays the
 # normalized margin is Lipschitz in theta with constant
 # (g(T) + r g(S)) g(S), which fills the gaps of an adaptively bisected
 # angle grid. Radii below tau / (4 g(T) g(S)) are certified by the

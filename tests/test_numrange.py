@@ -14,12 +14,11 @@ from numradius.numrange import (
     DegenerateMatrixError,
     _sweep_extremes,
     boundary_points,
-    _cyclic_local_max_groups,
+    _cyclic_runs,
     _golden_max,
     _lammax_fn,
     _profile,
     _refine_peaks,
-    _true_runs,
     crawford_number,
     maximizers,
     numerical_radius,
@@ -33,6 +32,12 @@ SQ13 = math.sqrt(13.0)
 
 def _omega(M):
     return numerical_radius(M).omega
+
+
+def _runs(x, low=None):
+    """`_cyclic_runs` of one row, as a list of (start, end) pairs."""
+    _, s, e = _cyclic_runs(x, low)
+    return list(zip(s.tolist(), e.tolist()))
 
 
 # --- pinned closed-form values ---------------------------------------------
@@ -389,45 +394,87 @@ def _lockstep_brackets(Ms, seed):
     return owner, a, b, seeds
 
 
+def _counting(monkeypatch, name):
+    """Wrap numrange.<name> to record the length of its second argument (the
+    lanes or brackets of the call) at each call; returns that list."""
+    calls, fn = [], getattr(numrange, name)
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return fn(*args)
+
+    monkeypatch.setattr(numrange, name, counting)
+    return calls
+
+
 def _assert_lockstep_is_one_bracket(Ms, seed, monkeypatch):
     owner, a, b, seeds = _lockstep_brackets(Ms, seed)
-    rounds = []
-    slopes = numrange._slopes_at
-
-    def counting(M, lanes, thetas):
-        rounds.append(len(thetas))
-        return slopes(M, lanes, thetas)
-
-    monkeypatch.setattr(numrange, "_slopes_at", counting)
+    rounds = _counting(monkeypatch, "_slopes_at")
+    arrays = _counting(monkeypatch, "_peak_lanes")
+    golden, golden_max = [], numrange._golden_max
+    monkeypatch.setattr(numrange, "_golden_max", lambda *a: golden.append(1) or golden_max(*a))
+    cap = numrange._SCALAR_LANES
     for width in (1e-7, 1e-10, 0.0):
         # negated, the brackets around a peak hold a minimum and fall back
         for negate in (False, True):
-            rounds.clear()
-            got = _refine_peaks(Ms, owner, a, b, width, seeds, negate)
-            if width == 0.0 and not negate and Ms.shape[-1] > 2:
-                # 0.0: every bracketed search hits the step cap (the 2x2
-                # rounds of few lanes do not pass through _slopes_at)
-                assert len(rounds) == numrange._ROOT_STEPS + 1
-            assert got == _one_bracket_refine(Ms, owner, a, b, width, seeds, negate)
-            assert all(type(x) is float and type(v) is float for x, v in got)
+            # all 32 brackets take the array step, the first `cap` the generators
+            for m in (len(owner), cap):
+                rounds.clear()
+                arrays.clear()
+                golden.clear()
+                args = owner[:m], a[:m], b[:m], width, seeds[:m], negate
+                got = _refine_peaks(Ms, *args)
+                assert arrays == ([m] if m > cap else [])
+                if width == 0.0 and not negate and (arrays or Ms.shape[-1] > 2):
+                    # 0.0: some bracketed search hits the step cap (the
+                    # generators' 2x2 rounds of few lanes do not pass
+                    # through _slopes_at)
+                    assert len(rounds) == numrange._ROOT_STEPS + 1
+                assert golden  # unbracketed lanes fall back
+                assert got == _one_bracket_refine(Ms, *args)
+                assert all(type(x) is float and type(v) is float for x, v in got)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_lockstep_golden_matches_scalar_search_bitwise(n, monkeypatch):
     # brackets of three matrices refined in one lockstep call equal the
     # same brackets refined one call each, bit for bit, for the slope
-    # search and its golden fallback alike
+    # search and its golden fallback alike, in the array step and in the
+    # generators
     gen = oracle.generators(600 + n)
     Ms = np.stack([linalg.as_matrix(gen.matrix(n)) for _ in range(3)])
     _assert_lockstep_is_one_bracket(Ms, n, monkeypatch)
 
 
 def test_lockstep_2x2_search_matches_one_bracket_bitwise(monkeypatch):
-    # 32 lanes take the batched closed form, and the rounds of a few lanes
-    # (and every one-bracket call) take it on Python floats: the same bits
+    # the array step takes the batched closed form, and the generators'
+    # rounds of a few lanes (every one-bracket call) take it on Python
+    # floats: the same bits
     gen = oracle.generators(602)
     Ms = np.stack([linalg.as_matrix(gen.matrix(2)) for _ in range(3)])
     _assert_lockstep_is_one_bracket(Ms, 2, monkeypatch)
+
+
+def test_array_step_stops_on_an_exact_zero_slope(monkeypatch):
+    # a Hermitian T has H_theta = cos(theta) T, so it peaks at theta = 0, a
+    # grid angle, where the 2x2 closed form's slope is exactly 0: a bracket
+    # ending there stops on its first step at that end, in the array step
+    # as in the generators
+    T = np.array([[1.0, 0.5 - 0.2j], [0.5 + 0.2j, -0.3]])
+    top = float(np.linalg.eigvalsh(T)[-1])
+    f, g = numrange._slopes_at(T[None], [0], [0.0])
+    assert g.tolist() == [0.0] and abs(f[0] - top) <= 1e-15
+    arrays = _counting(monkeypatch, "_peak_lanes")
+    spans = np.linspace(1e-3, 0.5, 7)
+    a = np.concatenate((np.zeros(7), -spans, -spans)).tolist()
+    b = np.concatenate((spans, np.zeros(7), spans)).tolist()
+    owner = [0] * len(a)
+    seeds = [(0.1, -math.inf)] * len(a)
+    for width in (1e-10, 0.0):
+        got = _refine_peaks(T[None], owner, a, b, width, seeds)
+        assert arrays.pop() == len(a)
+        assert [x for x, _ in got[:14]] == [0.0] * 14
+        assert got == _one_bracket_refine(T[None], owner, a, b, width, seeds)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -445,7 +492,7 @@ def test_profile_peaks_match_scalar_refinement(n):
         h = 2.0 * math.pi / 1024
         keep = float(hi.max()) - 2.0 * p.lip * h
         ref = []
-        for s, e in _cyclic_local_max_groups(hi):
+        for s, e in _runs(hi, -math.inf):
             gv = float(hi[s % 1024])
             if gv >= keep:
                 seed = (0.5 * (s + e) * h, gv)
@@ -577,17 +624,75 @@ def test_flat_sweep_is_one_grid_peak(base):
     assert len(p.peaks) == 1
     assert p.peaks[0][0] in (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
     assert abs(p.omega - 0.5 * norm) <= 1e-15 * norm
-    assert len(_cyclic_local_max_groups(p.sweep.full()[1])) > 1
+    assert len(_runs(p.sweep.full()[1], -math.inf)) > 1
 
 
 def test_run_finder_merges_the_wrap_and_finds_local_maxima():
     mask = np.array([1, 1, 0, 1, 0, 0, 1, 1], dtype=bool)
-    assert _true_runs(mask) == [(-2, 1), (3, 3)]
-    assert _true_runs(np.ones(5, dtype=bool)) == [(0, 4)]
-    assert _true_runs(np.zeros(5, dtype=bool)) == []
+    assert _runs(mask) == [(-2, 1), (3, 3)]
+    assert _runs(np.ones(5, dtype=bool)) == [(0, 4)]
+    assert _runs(np.zeros(5, dtype=bool)) == []
     vals = np.array([3.0, 1.0, 2.0, 2.0, 0.0, 3.0])
-    assert _cyclic_local_max_groups(vals) == [(-1, 0), (2, 3)]
-    assert _cyclic_local_max_groups(np.ones(4)) == [(0, 3)]
+    assert _runs(vals, -math.inf) == [(-1, 0), (2, 3)]
+    assert _runs(np.ones(4), -math.inf) == [(0, 3)]
+
+
+def _plain_runs(row):
+    """Cyclic runs of True of one row (a list), by walking it from each
+    start: (start, end) pairs sorted by start, a run through the wrap
+    point with start < 0."""
+    g = len(row)
+    if all(row):
+        return [(0, g - 1)]
+    runs = []
+    for i in range(g):
+        if row[i] and not row[i - 1]:
+            j = i
+            while row[(j + 1) % g]:
+                j += 1
+            runs.append((i - g, j - g) if j >= g else (i, j))
+    return sorted(runs)
+
+
+def _plain_peaks(row, low):
+    g = len(row)
+    return [v >= low and v >= row[i - 1] and v >= row[(i + 1) % g] for i, v in enumerate(row)]
+
+
+def test_run_finder_matches_a_plain_walk_of_each_row():
+    # one call over a stack equals a walk of each row alone: plateaus, runs
+    # through the wrap point, all-True and empty rows, -inf entries (the
+    # unsolved angles of a pruned sweep), masks and curves with a cut per row
+    inf = math.inf
+    rows = [
+        [1.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1.0],
+        [3.0, 1.0, 0.0, 1.0, 2.0, 2.0, 0.0, 3.0],
+        [2.0] * 8,
+        [-inf] * 8,
+        [-inf, 1.0, 1.0, -inf, -inf, 0.5, -inf, -inf],
+        [1.0, -inf, 0.0, 0.0, -inf, 2.0, 2.0, 2.0],
+        [0.0, 1.0] * 4,
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        row = rng.integers(0, 3, size=8).astype(float)
+        row[rng.random(8) < 0.25] = -inf
+        rows.append(row.tolist())
+    X = np.array(rows)
+    for low in (-inf, 0.5, np.array([1.0, 0.0, 3.0, -inf, 0.0, 0.5, 1.0] + [1.0] * 40)):
+        lows = np.broadcast_to(low, len(rows)).tolist()
+        want = [(k, s, e) for k, row in enumerate(rows)
+                for s, e in _plain_runs(_plain_peaks(row, lows[k]))]
+        row, s, e = _cyclic_runs(X, low)
+        assert list(zip(row.tolist(), s.tolist(), e.tolist())) == want
+        assert all(_runs(X[k], lows[k]) == [(s, e) for j, s, e in want if j == k]
+                   for k in range(len(rows)))
+    masks = np.isfinite(X)
+    masks[2] = True  # an all-True row next to the empty row 3
+    want = [(k, s, e) for k, m in enumerate(masks.tolist()) for s, e in _plain_runs(m)]
+    row, s, e = _cyclic_runs(masks)
+    assert list(zip(row.tolist(), s.tolist(), e.tolist())) == want
+    assert any(s < 0 for _, s, _ in want) and (2, 0, 7) in want
 
 
 # --- the pruned sweep against the full one ------------------------------------
@@ -611,7 +716,7 @@ def _full_profile(T, tol=1e-10):
     if omega_grid - float(hi.min()) <= numrange._FLAT * T.shape[0] * lip:
         peaks.append((thetas[int(np.argmax(hi))], omega_grid))
     else:
-        for s, e in _cyclic_local_max_groups(hi):
+        for s, e in _runs(hi, -math.inf):
             gv = float(hi[s % grid])
             if gv >= keep:
                 brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))
@@ -641,7 +746,7 @@ def _full_crawford(T, p, tol=1e-10):
         return 0.0
     keep = best_grid - 2.0 * lip * h
     brackets = []
-    for s, e in _cyclic_local_max_groups(lo):
+    for s, e in _runs(lo, -math.inf):
         gv = float(lo[s % lo.size])
         if gv >= keep and (e + 1) * h - (s - 1) * h < 2.0 * math.pi:
             brackets.append(((s - 1) * h, (e + 1) * h, (0.5 * (s + e) * h, gv)))

@@ -468,6 +468,22 @@ def test_min_epsilon_searches_each_peak_of_a_window_run():
         assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal == (eps > estar)
 
 
+def test_wide_windows_leave_t_sweep_unsolved(monkeypatch):
+    # a quotient limit's first radii put the window's level at or below the
+    # floor of T's curve, where every grid angle is in the window; it is
+    # taken as wide without solving T's sweep down to that level, so
+    # min_epsilon at n = 16 solves 156-280 of T's 1024 angles (all 1024
+    # when the sweep was solved to the level first)
+    monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(8))
+    monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(8))
+    gen = oracle.generators(77)
+    for _ in range(3):
+        T, S = gen.matrix(16), gen.matrix(16)
+        min_epsilon(T, S)
+        sweep = numrange._shared(linalg._as_unit(T)[0])[0]
+        assert np.isfinite(sweep.hi).sum() <= 320
+
+
 # --- orthogonality deciders ---------------------------------------------------
 
 
