@@ -547,14 +547,15 @@ def min_epsilon(T, S) -> float:
 # strip r < rbar is covered by convexity alone: the secant slope
 # s = (F(2 rbar) - F(rbar)) / rbar dominates the left derivative at rbar,
 # so F(r) >= F(rbar) - (rbar - r) * max(s, 0) there (the strip bound).
-# Its loss is about rbar^2 times the curvature of F, and rbar is sized
-# for a curvature of 2 g(S)^2, a loss of 4 g(S)^2 rbar^2 = tau / 4. That
-# is the curvature of one member of the max of squares of r-affine
-# functions that g(M)^2 is, not of the max: its maximizer moves with r,
-# and the max curves more. In the radius gauge, on four pairs whose
-# scans end at their caps, (F(2 rbar) - 2 F(rbar)) / (2 rbar^2) measured
-# at the nodes reads 2.0-2.7 times 2 g(S)^2: the bound stays valid, but
-# flags more nodes as candidates than its sizing assumes. Across rays the
+# What it loses grows with the curvature of F on [0, 2 rbar]; rbar is
+# sized so that the loss, ~4 g(S)^2 rbar^2 = tau / 4 if d2F/dr2 <= 2 g(S)^2,
+# stays under half the decision tolerance. That curvature bound holds
+# for each member of the max of squares of r-affine functions that g(M)^2
+# is, not for the max: its maximizer moves with r, and the max can curve
+# more. In the radius gauge, on four pairs whose scans end at their caps,
+# (F(2 rbar) - 2 F(rbar)) / (2 rbar^2) measured at the nodes reads 2.0-2.7
+# times 2 g(S)^2: the bound stays valid, but flags more nodes as
+# candidates than its sizing assumes. Across rays the
 # normalized margin is Lipschitz in theta with constant
 # (g(T) + r g(S)) g(S), which fills the gaps of an adaptively bisected
 # angle grid. Radii below tau / (4 g(T) g(S)) are certified by the
