@@ -11,8 +11,11 @@ every line through T). The forward difference quotients
     q(r) = (f(r) - f(0)) / (2 r)
 
 are nonincreasing as r decreases and converge to the one-sided
-derivative. ``omega_derivative`` drives r down a halving schedule until
-successive quotients stabilize. The achievable resolution is limited by
+derivative. ``omega_derivative`` drives r down a halving schedule from
+r0 2^-24, r0 = omega(T) / 2 omega(S), where the support window is narrow,
+until successive quotients stabilize; ``inf_derivative`` runs its two
+schedules in lockstep, one `numrange._radius_near` call a round, and
+most pairs settle in one. The achievable resolution is limited by
 the floating-point cancellation in f(r) - f(0), roughly
 machine-eps * omega^2 / r, and the stopping logic accounts for that
 noise floor explicitly rather than halving forever. Every
@@ -177,83 +180,99 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     return a * (b * ((wr * wr - w0 * w0) / (2.0 * r)))
 
 
-def _quotient_limit(
-    T: np.ndarray, S: np.ndarray, theta: float, tol: float
-) -> DerivativeResult:
-    """Quotient limit along a halving schedule with windowed re-maximization.
+def _quotient_limits(
+    T: np.ndarray, S: np.ndarray, thetas, tol: float
+) -> list[DerivativeResult]:
+    """The quotient limits at the angles ``thetas``, one `_schedule` each,
+    in lockstep: each round is one `numrange._radius_near` call over the
+    next radii of every open schedule, with the window of its largest r and
+    the peak-search width of its smallest (as in `_Gauge.micro_batch`).
 
-    Each omega(T + r e^{i theta} S) comes from `numrange._radius_near`, with
-    peak searches to a bracket width that shrinks with r. Once two
-    quotients are in hand, their secant slope predicts how small r must
-    get for the quotient to settle within tol, and the schedule jumps
-    there instead of halving all the way.
+    Every schedule starts at r_s = min(r0, max(r0 2^-24, r_wall)),
+    r0 = omega(T) / 2 omega(S): the window at r0 is wide and costs a
+    256-angle sweep only to feed a secant slope; near r_s it is narrow. No
+    lower: near r_wall one ulp of omega^2 moves a quotient by about 3e-8,
+    and a start at r0 2^-25 puts the limit of a square-zero pair 1.02e-7
+    ||T|| ||S|| below the exact minimum, past the 1e-7 the tests allow.
     """
-    pT = numrange._rel_profile(T)
-    pS = numrange._rel_profile(S)
+    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
-        return DerivativeResult(0.0, float(theta), (), True)
+        return [DerivativeResult(0.0, float(t), (), True) for t in thetas]
     w2 = wT * wT
     r0 = 0.5 * wT / wS
-    U = cmath.exp(1j * theta) * S
-    h = pT.sweep.h
     scale = pT.lip + r0 * pS.lip
+    r_wall = scale * scale * 2e-17 / tol
+    r_s = min(r0, max(r0 * 2.0**-24, r_wall))
+    Us = [cmath.exp(1j * t) * S for t in thetas]
+    runs = [_schedule(float(t), r_s, r_wall, tol, scale) for t in thetas]
+    out: list = [None] * len(runs)
+    pending = {i: next(s) for i, s in enumerate(runs)}
+    while pending:
+        ids = list(pending)
+        rs = [r for i in ids for r in pending[i]]
+        Ms = np.stack([T + r * Us[i] for i in ids for r in pending[i]])
+        top = max(rs)
+        width = min(pT.sweep.h, max(math.sqrt(min(rs) * tol) / (2.5 * scale), 1e-14))
+        w = numrange._radius_near(pT, Ms, top * wS, pT.lip + top * pS.lip, width).tolist()
+        k = 0
+        for i in ids:
+            m = len(pending[i])
+            qs = [(o * o - w2) / (2.0 * r) for o, r in zip(w[k : k + m], pending[i])]
+            try:
+                pending[i] = runs[i].send(qs)
+            except StopIteration as stop:
+                del pending[i]
+                out[i] = stop.value
+            k += m
+    return out
 
-    def omega_at(r: float) -> float:
-        width = min(h, max(math.sqrt(max(r * tol, 0.0)) / (2.5 * scale), 1e-14))
-        Ms = (T + r * U)[None]
-        return float(numrange._radius_near(pT, Ms, r * wS, pT.lip + r * pS.lip, width)[0])
+
+def _schedule(theta: float, r: float, r_wall: float, tol: float, scale: float):
+    """One angle's halving schedule from r, as a generator: it yields lists
+    of radii, is sent their quotients and returns its `DerivativeResult`.
+    The first round takes r and the radius after it, fixed while there is
+    no secant, so two agreeing quotients settle in one round. From there
+    the secant slope of the last two quotients predicts how small r must
+    get to settle within tol, and the schedule jumps there. Below r_wall
+    the quotient noise floor exceeds ~10 tol: the schedule never descends
+    past it, and a value first seen at the wall is confirmed by one
+    evaluation from just above (slow tails stop here, flagged honestly)."""
+
+    def wall(r: float, r_next: float, bounced: bool):  # (next r or None, bounced)
+        if r_next > r_wall:
+            return r_next, bounced
+        if r > r_wall * 1.0000001:
+            return r_wall, bounced
+        return (None, True) if bounced else (2.0 * r_wall, True)
 
     trace: list[tuple[float, float]] = []
-    prev = None
-    prev_r = None
-    value = None
-    converged = False
-    r = r0
-    # below r_wall the quotient noise floor exceeds ~10 tol, so evaluations
-    # there carry no information at the tol scale and the schedule never
-    # descends past it; a value first seen at the wall is confirmed by one
-    # extra evaluation from just above (slow tails stop here, flagged honestly)
-    r_wall = scale * scale * 2e-17 / tol
-    bounced = False
+    prev = prev_r = value = None
+    converged = bounced = False
+    first = [r, wall(r, 0.5 * r, bounced)[0]]
+    known = dict(zip(first, (yield first)))
     for _ in range(61):
-        omg = omega_at(r)
-        q = (omg * omg - w2) / (2.0 * r)
+        q = known.pop(r) if r in known else (yield [r])[0]
         nu = 2.0 * scale * scale * 1e-16 / r  # quotient noise-floor estimate
-        if prev is not None:
-            if q > prev:
-                # impossible in exact arithmetic while r decreases (noise
-                # floor reached); expected on the confirming wall bounce
-                trace.append((r, q))
-                value = prev
-                converged = (q - prev) <= max(tol, 3.0 * nu)
-                break
-            delta = prev - q
-            if delta <= max(0.5 * tol, 1.5 * nu):
-                trace.append((r, q))
-                value = q
-                converged = delta <= max(tol, 3.0 * nu)
-                break
         trace.append((r, q))
+        # q > prev is impossible in exact arithmetic while r decreases (noise
+        # floor reached); expected on the confirming wall bounce
+        if prev is not None and (q > prev or prev - q <= max(0.5 * tol, 1.5 * nu)):
+            value = prev if q > prev else q
+            converged = abs(prev - q) <= max(tol, 3.0 * nu)
+            break
         r_next = 0.5 * r
-        if prev is not None and prev_r is not None:
+        if prev is not None:
             slope = (prev - q) / (prev_r - r)  # >= 0 by convexity
             if slope > 0.0:
-                r_jump = 0.4 * tol / slope
-                r_next = min(r_next, max(r_jump, r * 2.0 ** -24))
+                r_next = min(r_next, max(0.4 * tol / slope, r * 2.0**-24))
         prev, prev_r = q, r
-        if r_next > r_wall:
-            r = r_next
-        elif r > r_wall * 1.0000001:
-            r = r_wall
-        elif not bounced:
-            bounced = True
-            r = 2.0 * r_wall
-        else:
+        r, bounced = wall(r, r_next, bounced)
+        if r is None:
             break
     if value is None:
         value = trace[-1][1]
-    return DerivativeResult(float(value), float(theta), tuple(trace), converged)
+    return DerivativeResult(float(value), theta, tuple(trace), converged)
 
 
 def omega_derivative(T, S, theta: float, tol: float = 1e-8) -> DerivativeResult:
@@ -265,7 +284,7 @@ def omega_derivative(T, S, theta: float, tol: float = 1e-8) -> DerivativeResult:
     T, S, a, b = _unit_pair(T, S)
     theta = _validate_theta(theta)
     tol = numrange._validate_tol(tol)
-    d = _quotient_limit(T, S, theta, tol / a / b)
+    (d,) = _quotient_limits(T, S, (theta,), tol / a / b)
     trace = tuple((r / b * a, a * (b * q)) for r, q in d.quotient_trace)
     return DerivativeResult(a * (b * d.value), d.theta, trace, d.converged)
 
@@ -279,7 +298,7 @@ def semi_inner(S, T) -> float:
     """
     T, S, a, b = _unit_pair(T, S)
     unit = numrange._rel_profile(T).lip * numrange._rel_profile(S).lip
-    return a * (b * _quotient_limit(T, S, 0.0, 1e-8 * unit).value)
+    return a * (b * _quotient_limits(T, S, (0.0,), 1e-8 * unit)[0].value)
 
 
 def derivative_via_maximizers(T, S, theta: float) -> float:
@@ -499,8 +518,8 @@ def _inf_unit(T: np.ndarray, S: np.ndarray, tol: float) -> tuple[float, float]:
     active = _ActiveSet(T, S)
     low, worst = active.settle()
     off = (worst + 2.0) % _TWO_PI
-    final = _quotient_limit(T, S, worst, tol)
-    for dq, model in ((final, low), (_quotient_limit(T, S, off, tol), active.settle(off)[0])):
+    final, second = _quotient_limits(T, S, (worst, off), tol)
+    for dq, model in ((final, low), (second, active.settle(off)[0])):
         if abs(dq.value - pT.omega * model) > guard:
             raise ConvergenceError(
                 f"at theta = {dq.theta!r} the quotient limit {dq.value!r} and the "

@@ -283,6 +283,17 @@ def _pruning_cases():
         # tier, where lo / cos(pi step / 1024) is omega itself
         T = cmath.exp(1j * math.pi * step / 1024) * np.eye(3)
         yield pytest.param(T, T.copy(), (16, 16), id=f"rotated-identity-step{step}")
+    # T = 0 and a scalar S: every lambda on the first ring ties in margin up
+    # to rounding. Some of their points sit on the 64-step tier's angles, so
+    # lo is their value; others sit halfway between them, where
+    # lo / cos(pi 64 / 1024) is their value up to rounding. On these rings
+    # the bound of one halfway point rounds below the first minimum's value,
+    # and only the rounding allowance keeps that minimum (found by a search
+    # over c, n and the grid)
+    for n, c, quarter, grid in ((1, 0.16604682930598605, 1, (38, 64)),
+                                (2, 0.10592846105366001, 3, (31, 32))):
+        S = c * cmath.exp(1j * math.pi * (0.25 + 0.5 * quarter)) * np.eye(n)
+        yield pytest.param(np.zeros((n, n), dtype=complex), S, grid, id=f"zero-T-tie-n{n}")
 
 
 @pytest.mark.parametrize("T, S, grid", list(_pruning_cases()))

@@ -354,15 +354,7 @@ def test_block_between_arc_grid_angles_is_found():
         assert abs(derivative_via_maximizers(T, S, theta) - ref) <= 1e-7
 
 
-def test_inf_derivative_makes_two_quotient_limits(monkeypatch):
-    calls = []
-    real = wderiv._quotient_limit
-
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(wderiv, "_quotient_limit", counted)
+def _limit_pairs():
     gen = oracle.generators(63)
     # square-zero pairs first: the 6th and 8th took 90 quotient limits
     # when a distrusted model fell back to minimizing the quotients
@@ -371,20 +363,63 @@ def test_inf_derivative_makes_two_quotient_limits(monkeypatch):
         n = 3 if i % 3 == 0 else 2
         pairs.append((gen.nilpotent_rank_one(n), gen.matrix(n)))
     pairs += [(gen.matrix(3), gen.matrix(3)), (gen.hermitian(3), gen.matrix(3))]
-    for T, S in pairs:
+    return pairs
+
+
+def test_inf_derivative_makes_two_quotient_limits(monkeypatch):
+    calls = []
+    real = wderiv._quotient_limits
+
+    def counted(*args):
+        calls.append(tuple(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(wderiv, "_quotient_limits", counted)
+    for T, S in _limit_pairs():
         calls.clear()
         inf_derivative(T, S)
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
+
+
+def test_inf_derivative_settles_in_one_radius_call(monkeypatch):
+    # both schedules start where the window is narrow and their first round
+    # takes two radii each; on these pairs every pair of quotients agrees,
+    # so one _radius_near call of 4 matrices settles both limits (8 calls
+    # when each limit started alone at r0 = omega(T) / 2 omega(S))
+    calls = []
+    real = numrange._radius_near
+
+    def counted(p, Ms, *args):
+        calls.append(len(Ms))
+        return real(p, Ms, *args)
+
+    monkeypatch.setattr(wderiv, "_INF_CACHE", wderiv._LRU(8))
+    monkeypatch.setattr(numrange, "_radius_near", counted)
+    for T, S in _limit_pairs():
+        calls.clear()
+        inf_derivative(T, S)
+        assert calls == [4]
+
+
+def test_lockstep_quotient_limits_are_the_one_angle_limits():
+    # a round's window and width come from all of its radii, yet each angle
+    # reads, bit for bit, what its schedule reads alone
+    for T, S in _limit_pairs():
+        _, worst = inf_derivative(T, S)
+        T, S, _, _ = wderiv._unit_pair(T, S)
+        tol = 1e-8 * numrange._rel_profile(T).lip * numrange._rel_profile(S).lip
+        for thetas in ((worst, (worst + 2.0) % (2 * math.pi)), (0.3, 2.3), (5.0, 0.5)):
+            alone = [wderiv._quotient_limits(T, S, (t,), tol)[0] for t in thetas]
+            assert repr(wderiv._quotient_limits(T, S, thetas, tol)) == repr(alone)
 
 
 def test_quotient_disagreement_raises(monkeypatch):
-    real = wderiv._quotient_limit
+    real = wderiv._quotient_limits
 
     def off(*args):
-        d = real(*args)
-        return dataclasses.replace(d, value=d.value + 1e-3)
+        return [dataclasses.replace(d, value=d.value + 1e-3) for d in real(*args)]
 
-    monkeypatch.setattr(wderiv, "_quotient_limit", off)
+    monkeypatch.setattr(wderiv, "_quotient_limits", off)
     gen = oracle.generators(62)
     for T in (gen.matrix(3), gen.nilpotent_rank_one(3)):
         with pytest.raises(ConvergenceError, match="disagree"):
@@ -397,7 +432,7 @@ def test_quotient_disagreement_raises_at_any_scale(monkeypatch, c):
     # that wobbles by as much, is caught however small T is; the limit is
     # taken on the pair divided by powers of two, in that pair's units, and
     # c T is the same pair as T, so its cached answer is dropped first
-    real = wderiv._quotient_limit
+    real = wderiv._quotient_limits
     gen = oracle.generators(64)
     T, S = c * gen.matrix(3), gen.matrix(3)
     unit = linalg.spectral_norm(T) * linalg.spectral_norm(S)
@@ -406,19 +441,22 @@ def test_quotient_disagreement_raises_at_any_scale(monkeypatch, c):
         return 1e-3 * linalg.spectral_norm(T) * linalg.spectral_norm(S)
 
     def off(*args):
-        d = real(*args)
-        return dataclasses.replace(d, value=d.value + gap(*args[:2]))
+        return [dataclasses.replace(d, value=d.value + gap(*args[:2])) for d in real(*args)]
 
     def wobbles(*args):
-        d = real(*args)
-        tail = ((d.quotient_trace[-1][0], d.value + gap(*args[:2])),)
-        return dataclasses.replace(d, quotient_trace=d.quotient_trace + tail, converged=False)
+        out = []
+        for d in real(*args):
+            tail = ((d.quotient_trace[-1][0], d.value + gap(*args[:2])),)
+            out.append(
+                dataclasses.replace(d, quotient_trace=d.quotient_trace + tail, converged=False)
+            )
+        return out
 
     monkeypatch.setattr(wderiv, "_INF_CACHE", wderiv._LRU(8))
-    monkeypatch.setattr(wderiv, "_quotient_limit", off)
+    monkeypatch.setattr(wderiv, "_quotient_limits", off)
     with pytest.raises(ConvergenceError, match="disagree"):
         inf_derivative(T, S, 1e-8 * unit)
-    monkeypatch.setattr(wderiv, "_quotient_limit", wobbles)
+    monkeypatch.setattr(wderiv, "_quotient_limits", wobbles)
     with pytest.raises(ConvergenceError, match="stabilize"):
         inf_derivative(T, S, 1e-8 * unit)
 
