@@ -13,7 +13,9 @@ and the support point at angle theta is <T x_theta, x_theta> for a top
 eigenvector x_theta of H_theta (equivalently e^{-i theta} times the
 tangency point of the rotated range). That rotation convention is fixed
 once, in ``linalg._hermitian_rot``; every other module except the
-independent ``oracle`` builds H_theta there.
+independent ``oracle`` builds H_theta there. `boundary_points` reads the
+support values off the sweep and gets each x_theta from one shifted
+solve (a step of inverse iteration), not a full eigendecomposition.
 
 The theta maximization runs a coarse grid first (lambda_max(H_theta) is
 Lipschitz in theta with constant ||T||, but may be multimodal), then
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _LRU, _as_unit, _eig2_rot, _eig2_slope, _extremes, _freeze, _hermitian_rot, _rot2,
+    MAX_DIM, _LRU, _as_unit, _eig2_rot, _eig2_slope, _extremes, _freeze, _hermitian_rot, _rot2,
     _spectral_norm,
 )
 
@@ -90,8 +92,7 @@ GRID_DEFAULT = 1024
 
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
-# a support sweep whose spread is within _FLAT n u ||T|| is flat: square-zero
-# T (n = 2..8) and J + J spread 1-5.5 u ||T||, generic T at least 0.13 ||T||
+# `wderiv._ActiveSet` ties active values within _FLAT n ||T|| of each other
 _FLAT = 4.0 * _EPS
 # a pruned sweep bounds 32 arcs: at delta = 2 pi / 32 the corner of two
 # supporting lines lies within 0.5 % of equal samples (sec(pi / 32))
@@ -118,6 +119,19 @@ _SCALAR_LANES = 16
 # values within _TIE |f| of each other tie in a peak search: a computed
 # lambda_max(H_theta) is within about n u ||T|| <= 2 n u omega(T) of exact
 _TIE = 1e-13
+# `boundary_points` shifts an extreme eigenvalue lambda of H_theta to
+# lambda +- _SHIFT ||T||_F: one step of inverse iteration then gives its
+# eigenvector to about _SHIFT ||T||_F / gap. At u / 4 the shift rounds onto
+# lambda for eye(2), a singular solve; at the sweep's rho (8 n u) 98 of
+# the 1280 directions of 20 generic n = 64 T fail `_AGREE`, none at 4 u
+_SHIFT = 4.0 * _EPS
+# two solutions of one direction agree when within this distance (unit
+# vectors, phase-aligned)
+_AGREE = 1e-10
+# the two start vectors of that inverse iteration: fixed complex Gaussian
+# draws, so no structure of T (a circulant's Fourier vectors, a diagonal
+# T's unit vectors) makes a start orthogonal to its eigenvector
+_STARTS = np.random.default_rng(20).standard_normal((MAX_DIM, 2, 2)) @ np.array([1.0, 1j])
 
 
 class DegenerateMatrixError(ValueError):
@@ -204,8 +218,10 @@ class _Profile:
         self._bracket = 1e-10 if tol is None else tol / lip
         self.width = min(self._bracket, h)
         # the grid maximum is at least the samples' and the spread at least
-        # theirs, so only a flat spread of samples needs the whole curve
-        flat = _FLAT * T.shape[0] * lip
+        # theirs, so only a flat spread of samples needs the whole curve; a
+        # spread within 2 rho is what two computed values of one constant
+        # may differ by
+        flat = 2.0 * sweep.rho
         c = sweep.samples
         hi = sweep.full()[1] if float(c.max()) - float(c.min()) <= flat else None
         omega_grid = sweep.top()
@@ -349,6 +365,32 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((lo, -hi), axis=-1), np.concatenate((hi, -lo), axis=-1)
 
 
+def _grid_extremes(
+    T: np.ndarray, grid: int, idx: np.ndarray, finer: _Sweep | None, H: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of H_theta(T) at the angles ``idx`` of a
+    ``grid``-angle grid, as `_extremes_at` gives them. The angles that a
+    ``finer`` sweep of T on a multiple of the grid has solved are copied
+    from it (angle k is the same double as its angle (finer.grid / grid) k,
+    so the values are the same bits), and the rest are solved in one call,
+    from their rows of ``H`` when the caller has built H_theta already."""
+
+    def solve(k):
+        if H is None or T.shape[0] == 2:
+            return _extremes_at(T, idx[k] * (_TWO_PI / grid))
+        return _extremes(H[k])
+
+    if finer is None:
+        return solve(slice(None))
+    with finer._lock:
+        at = idx * (finer.grid // grid)
+        wmin, wmax = finer.lo[at], finer.hi[at]
+    new = wmax == -math.inf
+    if new.any():
+        wmin[new], wmax[new] = solve(new)
+    return wmin, wmax
+
+
 def _wedge(a, b, delta):
     """Largest support, over the directions of an arc delta wide
     (0 < delta < pi), of the wedge cut out by the supporting lines of
@@ -443,16 +485,7 @@ class _Sweep:
         """Solve the angles ``idx`` of the solved half into the curves
         ``lo`` and ``hi`` (H_{theta+pi} = -H_theta gives their antipodes).
         Angles that the ``finer`` sweep has solved are copied from it."""
-        if self._finer is None:
-            wmin, wmax = _extremes_at(self.T, idx * self.h)
-        else:
-            f = self._finer
-            with f._lock:
-                at = idx * (f.grid // self.grid)
-                wmin, wmax = f.lo[at], f.hi[at]
-            new = wmax == -math.inf
-            if new.any():
-                wmin[new], wmax[new] = _extremes_at(self.T, idx[new] * self.h)
+        wmin, wmax = _grid_extremes(self.T, self.grid, idx, self._finer)
         lo[idx], hi[idx] = wmin, wmax
         best = wmax.max()
         if self._m < self.grid:
@@ -930,6 +963,15 @@ def _shared(T: np.ndarray) -> tuple[_Sweep, float]:
     return hit
 
 
+def _cached_sweep(T: np.ndarray, grid: int) -> _Sweep | None:
+    """T's cached 1024-angle sweep, when ``grid`` divides 1024 and it is
+    cached: the values it has solved are those of the grid's angles."""
+    if GRID_DEFAULT % grid:
+        return None
+    hit = _SWEEP_CACHE.get((T.tobytes(), T.shape[0]))
+    return None if hit is None else hit[0]
+
+
 def _profile(T: np.ndarray, tol: float | None = 1e-10) -> _Profile:
     """T's `_Profile` for ``tol``, memoized on (matrix bytes, tol)."""
     key = (T.tobytes(), T.shape[0], tol)
@@ -1027,17 +1069,67 @@ def boundary_points(T, count: int) -> list[complex]:
     Each point is <T x_theta, x_theta> for a top eigenvector x_theta of
     H_theta; every returned p has |p| <= omega(T). For an even count,
     the top eigenvector at theta + pi is the bottom one at theta.
+
+    The extreme eigenvalues lambda come from one `_extremes_at` call; when
+    ``count`` divides 1024 and T's 1024-angle sweep is cached, the angles
+    it has solved are copied from it, the same bits (`_grid_extremes`).
+    Each eigenvector comes from one step of inverse iteration: H_theta -
+    sigma, sigma just past lambda (by `_SHIFT` ||T||_F), is solved against
+    two fixed start vectors (`_STARTS`), in one batched call for the tops
+    and one for the bottoms. A direction keeps the first solution when the
+    second, phase-aligned, lies within `_AGREE` of it; any other (lambda
+    tied to rounding, or an unlucky start), and every direction when a
+    solve is singular, takes its vector from ``eigh`` instead. With
+    T = A + i B (A, B Hermitian), e^{i theta} <T x, x> is
+    lambda + i <K x, x> for K = sin(theta) A + cos(theta) B, so the point
+    is e^{-i theta} (lambda + i <K x, x>): lambda gives its support value
+    and x only its tangential coordinate. The zero matrix gives ``count``
+    zeros.
     """
     count = operator.index(count)
     if count < 3:
         raise ValueError("count must be at least 3")
     T, scale = _as_unit(T)
+    if not T.any():
+        return [0j] * count
+    n = T.shape[0]
     m = count // 2 if count % 2 == 0 else count
-    _, V = np.linalg.eigh(_hermitian_rot(T, np.exp(1j * (np.arange(m) * (_TWO_PI / count)))))
-    X = V[:, :, -1]
+    idx = np.arange(m)
+    z = np.exp(1j * (idx * (_TWO_PI / count)))
+    H = _hermitian_rot(T, z)
+    lo, hi = _grid_extremes(T, count, idx, _cached_sweep(T, count), H)
+    # row k < m is the top of angle k, row m + k (even count) its bottom
+    pad = _SHIFT * math.sqrt(np.vdot(T, T).real)
+    lam, sigma = hi, hi + pad
     if m < count:
-        X = np.concatenate((X, V[:, :, 0]))
-    return [scale * complex(z) for z in np.einsum("ki,ij,kj->k", X.conj(), T, X)]
+        lam, sigma = np.concatenate((hi, lo)), np.concatenate((sigma, lo - pad))
+        z = np.concatenate((z, z))
+    # the shifts go onto H's diagonal in place, one half at a time
+    d = np.arange(n)
+    diag = H[:, d, d]
+    Y = np.empty((count, n, 2), dtype=np.complex128)
+    X, X2 = Y[:, :, 0], Y[:, :, 1]
+    try:
+        for k in range(0, count, m):
+            H[:, d, d] = diag - sigma[k : k + m, None]
+            Y[k : k + m] = np.linalg.solve(H, np.broadcast_to(_STARTS[:n], (m, n, 2)))
+    except np.linalg.LinAlgError:
+        bad = np.ones(count, dtype=bool)
+    else:
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        c = np.einsum("ki,ki->k", X2.conj(), X)
+        phase = np.divide(c, np.abs(c), out=np.ones_like(c), where=c != 0.0)
+        bad = ~(np.linalg.norm(X - phase[:, None] * X2, axis=1) <= _AGREE)
+    H[:, d, d] = diag
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        ang, at = np.unique(rows % m, return_inverse=True)
+        _, V = np.linalg.eigh(H[ang])
+        X[rows] = V[at, :, np.where(rows < m, -1, 0)]
+    # <A x, x> and <B x, x>, real by construction: H_0 and H_{-pi/2} of T
+    qa, qb = ((X.conj() @ _hermitian_rot(T, np.array([1.0, -1j]))) * X).real.sum(axis=-1)
+    p = z.conj() * (lam + 1j * (z.imag * qa + z.real * qb))
+    return [scale * complex(v) for v in p]
 
 
 def maximizers(T, tol: float = 1e-8) -> MaximizerSet:
@@ -1100,10 +1192,7 @@ def radius_enclosure(T, grid: int) -> tuple[float, float]:
     T, scale = _as_unit(T)
     if not T.any():
         return (0.0, 0.0)
-    shared = None
-    if GRID_DEFAULT % grid == 0:
-        shared = _SWEEP_CACHE.get((T.tobytes(), T.shape[0]))
-    sweep = _Sweep(T, grid, None if shared is None else shared[0])
+    sweep = _Sweep(T, grid, _cached_sweep(T, grid))
     lower = sweep.top()
     # 4 n eps ||T||_F is half the sweep's allowance rho
     upper = lower / math.cos(math.pi / grid) + 0.5 * sweep.rho

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -274,20 +275,117 @@ def test_sweep_extremes_matches_per_angle_eigvalsh(n, grid):
     assert np.abs(hi - ref[:, 1]).max() <= tol
 
 
-@pytest.mark.parametrize("count", [7, 8, 63, 64])
-def test_boundary_points_match_per_angle_eigh(count):
+def _boundary_cases():
     gen = oracle.generators(77)
-    for n in (2, 5):
-        T = gen.matrix(n)
+    cases = {f"generic-n{n}": gen.matrix(n) for n in (2, 5, 64)}
+    cases["diagonal"] = np.diag(gen.matrix(6)[0])
+    cases["identity"] = np.eye(3)
+    cases["hermitian"] = gen.hermitian(5)
+    cases["square-zero"] = gen.nilpotent_rank_one(4)
+    c = gen.matrix(6)[0].real
+    cases["real-circulant"] = np.array([np.roll(c, k) for k in range(6)])
+    cases["zero"] = np.zeros((3, 3))
+    return cases
+
+
+@pytest.mark.parametrize("count", [7, 8, 63, 64, 360, 1000])
+def test_boundary_points_match_per_angle_eigh(count, monkeypatch):
+    # first with T's sweep not cached, then cached by numerical_radius and
+    # crawford_number: the support values copied from it are the same bits
+    for name, T in _boundary_cases().items():
+        monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+        monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
         pts = boundary_points(T, count)
+        numerical_radius(T)
+        crawford_number(T)
+        assert boundary_points(T, count) == pts, name
         assert len(pts) == count
-        for k, H in enumerate(_per_angle_hermitian(T, count)):
-            w, V = np.linalg.eigh(H)
-            x = V[:, -1]
-            ref = complex(np.vdot(x, T @ x))
-            assert abs(pts[k] - ref) <= 1e-10
+        if name == "zero":
+            assert pts == [0j] * count
+        norm = np.linalg.norm(T, 2)
+        unique = 0
+        for k in range(count):
+            theta = 2.0 * math.pi * k / count
+            w, V = np.linalg.eigh(linalg.hermitian_part(T, theta))
             # the support function: Re(e^{i theta} p) = lambda_max(H_theta)
-            assert abs((cmath.exp(2j * math.pi * k / count) * pts[k]).real - w[-1]) <= 1e-12
+            assert abs((cmath.exp(1j * theta) * pts[k]).real - w[-1]) <= 1e-12, (name, k)
+            # the support point is unique where lambda_max is simple; where
+            # it ties (the identity, a real circulant at theta = 0, a
+            # Hermitian T at theta = pi/2) the support set is a segment
+            if w.size == 1 or w[-1] - w[-2] > 1e-4 * norm:
+                x = V[:, -1]
+                assert abs(pts[k] - np.vdot(x, T @ x)) <= 1e-10, (name, k)
+                unique += 1
+        if name.startswith("generic"):
+            assert unique == count, name
+        if name == "identity":
+            assert all(abs(z - 1.0) <= 1e-10 for z in pts)
+
+
+def _counting_eigh(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record the matrices of each call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(H):
+        calls.append(1 if H.ndim == 2 else H.shape[0])
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_boundary_points_take_eigh_only_where_the_solves_disagree(monkeypatch):
+    calls = _counting_eigh(monkeypatch)
+    # diag(1, 0): H_theta at theta = pi/2 is about 6e-17 diag(1, 0), a top
+    # tied to rounding
+    assert boundary_points(np.diag([1.0, 0.0]), 4) == [1.0, 1.0, 0.0, 0.0]
+    assert sum(calls) > 0
+    calls.clear()
+    # the first 20 `radius-large` instances of seed 1 (T, then S)
+    gen = oracle.generators(1)
+    for _ in range(20):
+        T = gen.matrix(64)
+        gen.matrix(64)
+        boundary_points(T, 64)
+    assert sum(calls) == 0
+
+
+def test_boundary_points_of_zero_take_no_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for count in (3, 4, 64):
+        assert boundary_points(np.zeros((4, 4)), count) == [0j] * count
+
+
+def test_boundary_points_singular_solve_falls_back_to_eigh(monkeypatch):
+    T = oracle.generators(78).matrix(5)
+    want = boundary_points(T, 16)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    calls = _counting_eigh(monkeypatch)
+    got = boundary_points(T, 16)
+    assert calls == [8]
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * np.linalg.norm(T, 2)
+
+
+def test_boundary_points_orthogonal_solutions_raise_no_warning(monkeypatch):
+    # start vectors e1 and e2 against the identity: the two solutions of
+    # each direction are exactly orthogonal, so phase-aligning one to the
+    # other divides 0 by 0 unless guarded
+    starts = np.zeros((64, 2), dtype=complex)
+    starts[0, 0] = starts[1, 1] = 1.0
+    monkeypatch.setattr(numrange, "_STARTS", starts)
+    calls = _counting_eigh(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = boundary_points(np.eye(2), 6)
+    assert calls == [3]
+    assert all(abs(z - 1.0) <= 1e-15 for z in pts)
 
 
 def test_radius_enclosure_odd_grid():
@@ -713,7 +811,10 @@ def _full_profile(T, tol=1e-10):
     keep = omega_grid - 2.0 * lip * h
     width_target = tol / max(lip, 1e-300)
     peaks, brackets = [], []
-    if omega_grid - float(hi.min()) <= numrange._FLAT * T.shape[0] * lip:
+    # flat: a spread within 2 rho, rho = 8 n u ||T||_F the allowance for
+    # the rounding of one computed eigenvalue
+    rho = 8.0 * T.shape[0] * np.finfo(float).eps * math.sqrt(np.vdot(T, T).real)
+    if omega_grid - float(hi.min()) <= 2.0 * rho:
         peaks.append((thetas[int(np.argmax(hi))], omega_grid))
     else:
         for s, e in _runs(hi, -math.inf):

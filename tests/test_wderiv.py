@@ -963,3 +963,27 @@ def test_worked_pair_at_any_scale(c):
     assert abs(min_epsilon(c * T25, S25) - 2.0 / 3.0) <= 1e-6
     assert _verdicts(c * T25, S25, 0.0)[0] == (False, False, False)
 
+
+
+def test_flat_square_zero_sweeps_take_no_golden_search(monkeypatch):
+    # the first 40 `ortho-disk` instances of seed 1: a square-zero T has a
+    # disk for its range, so its sweep is flat within 2 rho and keeps its
+    # grid maximum alone; a spread test of 4 n u ||T|| missed some of them
+    # and refined their rounding noise by golden section
+    for name in ("_PROFILE_CACHE", "_SWEEP_CACHE"):
+        monkeypatch.setattr(numrange, name, numrange._LRU(1024))
+    monkeypatch.setattr(wderiv, "_INF_CACHE", wderiv._LRU(512))
+    golden, golden_max = [], numrange._golden_max
+    monkeypatch.setattr(numrange, "_golden_max", lambda *a: golden.append(1) or golden_max(*a))
+    gen = oracle.generators(1)
+    rng = np.random.default_rng(1)
+    for i in range(40):
+        n = 3 if i % 3 == 0 else 2
+        T = gen.nilpotent_rank_one(n)
+        S = gen.matrix(n)
+        eps = rng.uniform(0.55, 0.9)
+        is_bj_orthogonal(T, S, eps)
+        min_epsilon(T, S)
+        is_omega_orthogonal(T, S, eps, "derivative")
+        is_omega_orthogonal(T, S, eps, "direct")
+    assert len(golden) == 0
