@@ -19,9 +19,9 @@ and multiplies its answer back. The private kernels see unit-scaled
 input only, so no square they take (T*T, omega^2, a 2x2 discriminant)
 under- or overflows at any scale.
 
-Eigenvalues come from LAPACK via numpy, except 2x2 extremes, which
-`_eig2` takes in closed form for stacks and scalars alike; the private
-kernels assume validated, Hermitian, unit-scaled input.
+Eigenvalues come from LAPACK via numpy, except 2x2 and 3x3 extremes, which
+`_eig2` and `_eig3_rot` take in closed form (LAPACK where a 3x3 gap is
+small); the private kernels assume validated, Hermitian, unit-scaled input.
 """
 
 from __future__ import annotations
@@ -165,8 +165,9 @@ def _hermitian_rot(M: np.ndarray, z) -> np.ndarray:
     """(z M + (z M)*) / 2 for a matrix or a (..., n, n) stack M.
 
     ``z`` is a scalar or an array broadcast against the stack axes of M
-    (one rotation per matrix). Every rotated Hermitian part in the
-    package is built here, so all modules round it alike.
+    (one rotation per matrix). Every rotated Hermitian part the package
+    builds as a matrix is built here, so all modules round it alike; the
+    closed forms `_eig2_rot` and `_eig3_rot` read its entries off M.
     """
     E = np.asarray(z)[..., None, None] * M
     return 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
@@ -239,12 +240,61 @@ def _eig2_slope(c, zr, zi):
     return (zr * sr - zi * si) + rad, turn - (zi * sr + zr * si)
 
 
+# `_eig3_rot` hands a lane to LAPACK where its top or bottom gap, 2 sqrt(3) p
+# sin(pi/3 - phi) or 2 sqrt(3) p sin(phi), is below p / 4 and acos loses the
+# close pair's digits: where |r| = |cos 3 phi| > cos(3 asin(1 / (8 sqrt 3)))
+_EIG3_EDGE = math.sqrt(191.0 / 192.0) * 188.0 / 192.0
+_EIG3_AT = (np.array([0, 1, 2, 0, 0, 1, 1, 2, 2]), np.array([0, 1, 2, 1, 2, 2, 0, 0, 1]))
+
+
+def _eig3_rot(T, zr, zi):
+    """(smallest, largest) eigenvalue of H = (z T + (z T)*) / 2, z = zr + i zi,
+    along a (..., 3, 3) stack T broadcast against z, in closed form (O. K.
+    Smith, CACM 4(4):168, 1961): with q = tr(H) / 3, B = H - q I, p =
+    sqrt(tr(B^2) / 6), r = det(B) / (2 p^3) and phi = acos(r) / 3 they are
+    q + 2 p cos(phi + 2 pi / 3) and q + 2 p cos(phi). H's entries come from
+    T's by real products (numpy's complex product may fuse a multiply-add in
+    some loops only), so a lane's bits do not depend on the others; a lane
+    with |r| above `_EIG3_EDGE` takes LAPACK's values of H set from them."""
+    t = np.moveaxis(T[..., _EIG3_AT[0], _EIG3_AT[1]], -1, 0)
+    a, b = t.real, t.imag  # rows: T's diagonal, then t01, t02, t12, then t10, t20, t21
+    ar, ai = (a[0] + a[1] + a[2]) / 3.0, (b[0] + b[1] + b[2]) / 3.0
+    # q, B's diagonal d0, d1, d2 and b_jk = xr + i xi (jk = 01), yr + i yi
+    # (02), wr + i wi (12) are zr A - zi B, by rows
+    A = np.concatenate(([ar], a[:3] - ar, 0.5 * (a[3:6] + a[6:]), 0.5 * (b[3:6] - b[6:])))
+    B = np.concatenate(([ai], b[:3] - ai, 0.5 * (b[3:6] + b[6:]), 0.5 * (a[6:] - a[3:6])))
+    rows = (10,) + (1,) * max(0, np.ndim(zr) - a.ndim + 1) + a.shape[1:]
+    E = A.reshape(rows) * zr - B.reshape(rows) * zi
+    q, d0, d1, d2, xr, yr, wr, xi, yi, wi = E
+    sq = E[1:] * E[1:]
+    x2, y2, w2 = sq[3:6] + sq[6:]
+    p = np.sqrt((sq[0] + sq[1] + sq[2] + 2.0 * (x2 + y2 + w2)) / 6.0)
+    # det B = d0 d1 d2 - d0 |b12|^2 - d1 |b02|^2 - d2 |b01|^2 + 2 Re(b01 b12 conj b02)
+    det = d0 * (d1 * d2 - w2) - d1 * y2 - d2 * x2
+    det = det + 2.0 * ((xr * wr - xi * wi) * yr + (xr * wi + xi * wr) * yi)
+    r = det / np.maximum(2.0 * p * p * p, 1e-300)  # B = 0: r = 0, no warning
+    good = np.abs(r) <= _EIG3_EDGE
+    c = np.cos(np.add.outer((0.0, 2.0 * math.pi / 3.0), np.arccos(np.where(good, r, 0.0)) / 3.0))
+    hi, lo = q + 2.0 * p * c
+    if np.count_nonzero(good) < good.size:
+        e = E[:, ~good]
+        H = np.zeros((e.shape[1], 3, 3), dtype=np.complex128)
+        H.real[:, [0, 1, 2, 1, 2, 2], [0, 1, 2, 0, 0, 1]] = np.vstack((e[0] + e[1:4], e[4:7])).T
+        H.imag[:, [1, 2, 2], [0, 0, 1]] = -e[7:].T
+        w = np.linalg.eigvalsh(H)
+        lo[~good], hi[~good] = w[:, 0], w[:, -1]
+    return lo, hi
+
+
 def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(smallest, largest) eigenvalues along a (..., n, n) Hermitian stack:
-    LAPACK, or for 2x2 the closed form `_eig2`."""
+    for 2x2 the closed form `_eig2`, for 3x3 `_eig3_rot` at z = 1 (LAPACK
+    where its guard says), else LAPACK."""
     if H.shape[-1] == 2:
         a, d, b = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1]
         return _eig2(0.5 * (a + d), 0.5 * (a - d), b.real, b.imag)
+    if H.shape[-1] == 3:
+        return _eig3_rot(H, 1.0, 0.0)
     w = np.linalg.eigvalsh(H)
     return w[..., 0], w[..., -1]
 

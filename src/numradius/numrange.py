@@ -12,8 +12,9 @@ lambda_max(H_theta) is the support function of W(T) in direction
 and the support point at angle theta is <T x_theta, x_theta> for a top
 eigenvector x_theta of H_theta (equivalently e^{-i theta} times the
 tangency point of the rotated range). That rotation convention is fixed
-once, in ``linalg._hermitian_rot``; every other module except the
-independent ``oracle`` builds H_theta there. `boundary_points` reads the
+once, in ``linalg``: ``_hermitian_rot`` builds H_theta, and the n = 2 and
+n = 3 closed forms ``_eig2_rot`` and ``_eig3_rot`` read its entries off T;
+only the independent ``oracle`` builds its own. `boundary_points` reads the
 support values off the sweep and gets each x_theta from one shifted
 solve (a step of inverse iteration), not a full eigendecomposition.
 
@@ -72,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    MAX_DIM, _LRU, _as_unit, _eig2_rot, _eig2_slope, _extremes, _freeze, _hermitian_rot, _rot2,
-    _spectral_norm,
+    MAX_DIM, _LRU, _as_unit, _eig2_rot, _eig2_slope, _eig3_rot, _extremes, _freeze, _hermitian_rot,
+    _rot2, _spectral_norm,
 )
 
 __all__ = [
@@ -303,32 +304,30 @@ class _Profile:
 
 
 def _lammax_fn(T: np.ndarray):
-    """Scalar theta -> lambda_max(H_theta(T)), the sweep's bits; closed form for n = 2."""
+    """Scalar theta -> lambda_max(H_theta(T)), the sweep's bits: closed forms
+    for n = 2 (on Python floats; cos and sin are cmath.exp(i theta)'s parts)
+    and n = 3 (`_extremes_at` at one angle)."""
     if T.shape[0] == 2:
         c = _rot2(T)
-
-        def f2(theta: float) -> float:
-            e = cmath.exp(1j * theta)
-            return _eig2_rot(c, e.real, e.imag)[1]
-
-        return f2
-
-    def fn(theta: float) -> float:
-        return float(np.linalg.eigvalsh(_hermitian_rot(T, cmath.exp(1j * theta)))[-1])
-
-    return fn
+        return lambda theta: _eig2_rot(c, math.cos(theta), math.sin(theta))[1]
+    if T.shape[0] == 3:
+        return lambda theta: float(_extremes_at(T, [theta])[1][0])
+    return lambda theta: float(np.linalg.eigvalsh(_hermitian_rot(T, cmath.exp(1j * theta)))[-1])
 
 
 def _extremes_at(M: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(M) at the angles ``thetas``,
     broadcast against the stack axes of a matrix or (..., n, n) stack M.
 
-    n = 2 takes the closed form `linalg._eig2_rot`, bit for bit the scalar
-    `_lammax_fn`; any other n one batched LAPACK eigensolve, bit for bit a
-    solve of each angle alone."""
+    n = 2 and n = 3 read H_theta's entries off M by real products for the
+    closed form `linalg._eig2_rot` or `linalg._eig3_rot`; any other n takes
+    one batched LAPACK eigensolve. Either way each angle's bits are those
+    of a solve of that angle alone, as `_lammax_fn` makes."""
     z = np.exp(1j * np.asarray(thetas))
     if M.shape[-1] == 2:
         return _eig2_rot(_rot2(M), z.real, z.imag)
+    if M.shape[-1] == 3:
+        return _eig3_rot(M, z.real, z.imag)
     return _extremes(_hermitian_rot(M, z))
 
 
@@ -355,8 +354,9 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
 
     On an even grid with n != 2, angle k + grid/2 takes
     lambda_min = -lambda_max and lambda_max = -lambda_min of angle k
-    (H_{theta+pi} = -H_theta). A (..., n, n) stack of matrices gives
-    (..., grid) curves from one `_extremes_at` call.
+    (H_{theta+pi} = -H_theta), so `_lammax_fn` has the sweep's bits at
+    every angle at n = 2 and at the solved ones at n = 3. A (..., n, n)
+    stack of matrices gives (..., grid) curves from one `_extremes_at` call.
     """
     m = grid // 2 if grid % 2 == 0 and T.shape[-1] != 2 else grid
     lo, hi = _extremes_at(T[..., None, :, :], np.arange(m) * (_TWO_PI / grid))
@@ -373,10 +373,10 @@ def _grid_extremes(
     ``finer`` sweep of T on a multiple of the grid has solved are copied
     from it (angle k is the same double as its angle (finer.grid / grid) k,
     so the values are the same bits), and the rest are solved in one call,
-    from their rows of ``H`` when the caller has built H_theta already."""
+    from their rows of ``H`` when the caller has built H_theta and n > 3."""
 
     def solve(k):
-        if H is None or T.shape[0] == 2:
+        if H is None or T.shape[0] <= 3:
             return _extremes_at(T, idx[k] * (_TWO_PI / grid))
         return _extremes(H[k])
 

@@ -181,6 +181,84 @@ def test_spectral_norm_pinned_values():
     assert abs(spectral_norm([[1, 0], [0, 0]]) - 1.0) < 1e-12
 
 
+def _eig3_stacks():
+    """(name, Hermitian (K, 3, 3) stack, its ascending eigenvalues as
+    constructed, or None where only LAPACK's are known)."""
+    rng = np.random.default_rng(333)
+
+    def rotated(w):  # U diag(w) U*, U unitary, made exactly Hermitian
+        Z = rng.standard_normal((len(w), 3, 3)) + 1j * rng.standard_normal((len(w), 3, 3))
+        U = np.linalg.qr(Z)[0]
+        H = (U * w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+        return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
+
+    w = np.sort(rng.standard_normal((1000, 3)), axis=1)
+    yield "random", rotated(w), w
+    w = np.sort(np.abs(rng.standard_normal((400, 3))), axis=1)
+    w[:100, 0] = 0.0
+    yield "positive", rotated(w), w
+    M = rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3))
+    yield "gram", np.conj(np.swapaxes(M, 1, 2)) @ M, None
+    # a pair 1 to 1e-12 apart at the top, then at the bottom, its third
+    # eigenvalue 0.5 to 2 beyond it
+    gap = np.repeat(10.0 ** -np.arange(13.0), 30)
+    b = rng.uniform(-1.0, 1.0, gap.size)
+    far = rng.uniform(0.5, 2.0, gap.size)
+    for name, w in (("near-double-top", (b - far, b, b + gap)),
+                    ("near-double-bottom", (b, b + gap, b + gap + far))):
+        w = np.stack(w, axis=1)
+        yield name, rotated(w), w
+    w = np.stack((b - far, b, b), axis=1)[:100]
+    yield "double", rotated(np.concatenate((w, -w[:, ::-1]))), np.concatenate((w, -w[:, ::-1]))
+    c = np.array([1.0, -2.0, 0.5, 0.1, 3.0, -1.0 / 3.0])
+    w = np.repeat(c[:, None], 3, axis=1)
+    yield "triple", rotated(w), w
+    yield "scalar-identity", c[:, None, None] * np.eye(3), w
+    yield "zero", np.zeros((10, 3, 3), dtype=np.complex128), np.zeros((10, 3))
+    w = rng.standard_normal((200, 3))
+    yield "diagonal", w[:, :, None] * np.eye(3), np.sort(w, axis=1)
+
+
+def test_3x3_kernel_matches_constructed_and_lapack_eigenvalues(monkeypatch):
+    # the closed form of linalg._extremes at n = 3 (linalg._eig3_rot) is
+    # within 4 n u ||H|| of the constructed eigenvalues and of LAPACK's;
+    # exactly the lanes whose top or bottom gap is below p / 4 go to LAPACK
+    # (p = sqrt(tr((H - q I)^2) / 6)), each lane's bits are the same in a
+    # stack and alone, and no lane, the zero and scalar ones included,
+    # raises a RuntimeWarning (pytest turns it into an error)
+    u = np.finfo(float).eps
+    eigvalsh, reached = np.linalg.eigvalsh, []
+
+    def counting(H):
+        reached.append(len(H))
+        return eigvalsh(H)
+
+    for name, H, w in _eig3_stacks():
+        H = H.astype(np.complex128)
+        lapack = eigvalsh(H)
+        lo, hi = linalg._extremes(H)
+        for ref in (lapack,) if w is None else (lapack, w):
+            tol = 12.0 * u * np.abs(ref).max(axis=1)
+            assert (np.abs(lo - ref[:, 0]) <= tol).all(), name
+            assert (np.abs(hi - ref[:, -1]) <= tol).all(), name
+        ref = lapack if w is None else w
+        p = np.sqrt(((ref - ref.mean(axis=1, keepdims=True)) ** 2).sum(axis=1) / 6.0)
+        short = np.minimum(ref[:, 1] - ref[:, 0], ref[:, 2] - ref[:, 1]) - 0.25 * p
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for k in range(len(H)):
+            reached.clear()
+            one = linalg._extremes(H[k : k + 1])
+            assert (one[0][0], one[1][0]) == (lo[k], hi[k]), (name, k)
+            # a lane within rounding of the guard, or a triple eigenvalue
+            # up to rounding, may go either way
+            if ref[k, 2] - ref[k, 0] > 1e-6 * np.abs(ref[k]).max() and abs(short[k]) > 1e-6 * p[k]:
+                assert reached == ([1] if short[k] < 0.0 else []), (name, k)
+            elif name in ("zero", "scalar-identity") and 3.0 * ref[k, 0] / 3.0 == ref[k, 0]:
+                # H - q I is exactly zero: p = 0, and LAPACK is not called
+                assert reached == [], (name, k)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
 class TestRankOne:
     def test_action_is_inner_product_projection(self):
         x = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)

@@ -334,6 +334,27 @@ def _counting_eigh(monkeypatch):
     return calls
 
 
+def test_boundary_points_copy_the_3x3_sweep_bit_for_bit(monkeypatch):
+    # at n = 3 T's sweep and boundary_points' own solves both take the
+    # closed form `linalg._eig3_rot` of the same real products
+    # (`_extremes_at`, not the H_theta boundary_points builds), so the
+    # support values copied from T's fully solved cached sweep give the
+    # points of a cold call, bit for bit, with no solve of their own
+    gen = oracle.generators(33)
+    U = gen.unitary(3)
+    cases = [gen.matrix(3) for _ in range(4)] + [gen.nilpotent_rank_one(3), gen.hermitian(3)]
+    cases.append(U @ np.diag([1.0, 1.0, -0.5]) @ U.conj().T)
+    solved = _count_sweep_solves(monkeypatch)
+    for T in cases:
+        monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
+        monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
+        cold = boundary_points(T, 64)
+        numrange._shared(linalg._as_unit(T)[0])[0].full()
+        solved.clear()
+        assert boundary_points(T, 64) == cold
+        assert solved == []
+
+
 def test_boundary_points_take_eigh_only_where_the_solves_disagree(monkeypatch):
     calls = _counting_eigh(monkeypatch)
     # diag(1, 0): H_theta at theta = pi/2 is about 6e-17 diag(1, 0), a top
@@ -1113,6 +1134,20 @@ def test_scalar_2x2_evaluator_is_the_sweep_bit_for_bit():
         T = linalg.as_matrix(gen.matrix(2))
         f = _lammax_fn(T)
         assert [f(t) for t in thetas] == _sweep_extremes(T, 1024)[1].tolist()
+    # at n = 3 both take `linalg._eig3_rot` of the same real products,
+    # LAPACK on the lanes its guard picks; the sweep solves the half grid
+    # below pi and negates the other half (H_{theta+pi} = -H_theta), so they
+    # agree at every angle it solves. A Hermitian T with a double eigenvalue
+    # and diag(1, 1, i) send all their angles but one to LAPACK (at pi / 2
+    # the former's H_theta is rounding noise, at 3 pi / 4 the latter's is
+    # scalar); the square-zero ones send none
+    cases = [gen.matrix(3) for _ in range(10)] + [gen.nilpotent_rank_one(3) for _ in range(5)]
+    U = gen.unitary(3)
+    cases += [U @ np.diag([1.0, 1.0, -0.5]) @ U.conj().T, np.diag([1.0, 1.0, 1j])]
+    for T in cases:
+        T = linalg._as_unit(T)[0]
+        f = _lammax_fn(T)
+        assert [f(t) for t in thetas[:512]] == _sweep_extremes(T, 1024)[1][:512].tolist()
 
 
 def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
