@@ -7,11 +7,17 @@ orthogonality scan from a plain polar grid over the perturbation
 parameter with a fixed-resolution support sweep, and the Hermitian
 eigensolver is a pure-Python cyclic Jacobi iteration that calls no
 LAPACK. These are the oracles that the fast paths are validated
-against, so they deliberately stay simple. The scan has two economies,
-both with code of its own and neither changing a bit of its result:
+against, so they deliberately stay simple. The scan has three economies,
+each with code of its own and none changing a bit of its result:
 
 - its sweep uses H_{phi+pi} = -H_phi, so it solves only the angles
   below pi and takes the rest from lambda_min;
+- it bounds every radius from below by Rayleigh quotients, with no
+  eigensolve per lambda. For unit x, omega(M) >= |<Mx, x>|, and
+  <(T + lambda S)x, x> = <Tx, x> + lambda <Sx, x>: four vectors, the
+  top and bottom eigenvectors of H_phi at the grid argmax angles of T
+  and of S, bound every lambda at once, and cos(pi/1024) times that
+  bounds the grid radius by the secant bound below;
 - it prunes lambda with the secant bound. If p in W(M) has
   |p| = omega(M), then lambda_max(H_phi) >= omega(M) cos(phi + arg p),
   and every angle lies within pi/m of one of m equispaced angles, so
@@ -209,8 +215,26 @@ _SCAN_GRID = 1024
 # each pruning tier solves every step-th scan angle, a subset of the full
 # sweep's angles, so its maximum is an exact lower bound
 _PRUNE_STEPS = (256, 64, 16, 4)
+# every angle lies within pi/1024 of the scan's grid, so by the secant
+# bound the grid radius is at least this share of omega
+_GRID_COS = math.cos(math.pi / _SCAN_GRID)
 # bytes of one batched H stack; bounds the scan's working set
 _STACK_BYTES = 1 << 19
+
+
+def _grid_extremes(Ms: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_max, lambda_min) of H_phi, one row per matrix of a stack."""
+    E = np.exp(1j * phis)[None, :, None, None] * Ms[:, None, :, :]
+    H = 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
+    if Ms.shape[-1] == 2:
+        d0 = H[..., 0, 0].real
+        d1 = H[..., 1, 1].real
+        b = H[..., 0, 1]
+        mid = 0.5 * (d0 + d1)
+        rad = np.sqrt(0.25 * (d0 - d1) ** 2 + b.real**2 + b.imag**2)
+        return mid + rad, mid - rad
+    w = np.linalg.eigvalsh(H)
+    return w[..., -1], w[..., 0]
 
 
 def _grid_omega(Ms: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -222,18 +246,7 @@ def _grid_omega(Ms: np.ndarray, phis: np.ndarray) -> np.ndarray:
     the half: only the half is solved. Since lambda_min <= lambda_max,
     the result is never negative, rounding included.
     """
-    E = np.exp(1j * phis)[None, :, None, None] * Ms[:, None, :, :]
-    H = 0.5 * (E + np.conj(np.swapaxes(E, -1, -2)))
-    if Ms.shape[-1] == 2:
-        d0 = H[..., 0, 0].real
-        d1 = H[..., 1, 1].real
-        b = H[..., 0, 1]
-        mid = 0.5 * (d0 + d1)
-        rad = np.sqrt(0.25 * (d0 - d1) ** 2 + b.real**2 + b.imag**2)
-        hi, lo = mid + rad, mid - rad
-    else:
-        w = np.linalg.eigvalsh(H)
-        hi, lo = w[..., -1], w[..., 0]
+    hi, lo = _grid_extremes(Ms, phis)
     return np.maximum(hi, -lo).max(axis=1)
 
 
@@ -248,6 +261,36 @@ def _scan_omegas(T: np.ndarray, S: np.ndarray, lams: np.ndarray, phis: np.ndarra
     )
 
 
+def _support_vectors(
+    Ms: np.ndarray, phis: np.ndarray, hi: np.ndarray, lo: np.ndarray
+) -> np.ndarray:
+    """Unit vectors, as rows, where each matrix's half sweep peaks.
+
+    For each matrix, given the extremes ``hi``, ``lo`` of its sweep over
+    ``phis``: the top eigenvector of H_phi at the angle of the largest
+    lambda_max, then the bottom one at the angle of the least lambda_min.
+    """
+    E = np.exp(1j * phis[np.stack((hi.argmax(axis=1), lo.argmin(axis=1)), axis=1)])
+    E = E[..., None, None] * Ms[:, None]
+    V = np.linalg.eigh(0.5 * (E + np.conj(np.swapaxes(E, -1, -2))))[1]
+    return np.stack((V[:, 0, :, -1], V[:, 1, :, 0]), axis=1).reshape(-1, Ms.shape[-1])
+
+
+def _rayleigh_lower(
+    T: np.ndarray, S: np.ndarray, X: np.ndarray, lams: np.ndarray, slack: np.ndarray
+) -> np.ndarray:
+    """Lower bound of ``_grid_omega`` of every T + lambda S, no eigensolve.
+
+    For each unit row x of ``X``, omega(T + lambda S) >= |a + lambda b|
+    with a = <Tx, x> and b = <Sx, x>, and the grid radius is at least
+    ``_GRID_COS`` omega; ``slack`` (one per lambda) takes up the
+    rounding of both sides. Never negative.
+    """
+    a, b = np.einsum("ji,mik,jk->mj", np.conj(X), np.stack((T, S)), X)
+    rq = np.abs(a[:, None] + b[:, None] * lams).max(axis=0)
+    return np.maximum(_GRID_COS * rq - slack, 0.0)
+
+
 def direct_lambda_scan(
     T, S, epsilon: float, grid_r: int = 32, grid_theta: int = 64
 ) -> tuple[float, complex]:
@@ -260,20 +303,31 @@ def direct_lambda_scan(
     solves only phi < pi and reads phi + pi off lambda_min, since
     H_{phi+pi} = -H_phi; it shares no code with ``numrange``.
 
-    Only the lambda that can still hold the minimum get that sweep. Each
-    pruning tier (`_PRUNE_STEPS`) sweeps the lambda still kept over every
-    step-th of its angles, the same doubles through the same eigensolver,
-    which gives each radius an exact lower bound lo and, by the secant
-    bound (module docstring), an upper bound lo / cos(pi step / 1024)
-    plus a rounding allowance. F is the same floating expression for
-    every bound and nondecreasing in the radius, so a lambda whose lower
-    F exceeds the least upper F of a tier is neither the minimum nor
-    tied with it: the result is bit for bit that of the full scan.
+    Only the lambda that can still hold the minimum get that sweep.
+    Every radius has a lower bound lo and an upper bound up: F is the
+    same floating expression for every bound and nondecreasing in the
+    radius, so a lambda whose lower F exceeds the upper F of any lambda
+    is neither the minimum nor tied with it, and the result is bit for
+    bit that of the full scan. The bounds come in three stages:
+
+    - Rayleigh quotients (``_rayleigh_lower``) of the four vectors where
+      the sweeps of T and of S peak give every lambda a lower F with no
+      eigensolve;
+    - the lambda of least lower F is swept over every 4th angle; by the
+      secant bound (module docstring) its upper bound lo / cos(4 pi /
+      1024) plus a rounding allowance seeds the least upper F, and only
+      the lambda whose lower F is at most that seed are kept;
+    - each pruning tier (``_PRUNE_STEPS``) sweeps the lambda still kept
+      over every step-th angle, the same doubles through the same
+      eigensolver. That gives exact lower bounds lo and upper bounds
+      lo / cos(pi step / 1024) plus the allowance; the least upper F
+      seen so far prunes the lambda of greater lower F.
 
     Returns (min margin, argmin lambda), the first minimum in order of
     radius, then angle. A negative margin witnesses a violation of the
     orthogonality inequality at that lambda. Raises ValueError unless
-    epsilon is finite and in [0, 1).
+    epsilon is finite and in [0, 1), and DimensionError unless T and S
+    have the same size.
     """
     grid_r = int(grid_r)
     grid_theta = int(grid_theta)
@@ -284,8 +338,14 @@ def direct_lambda_scan(
         raise ValueError("epsilon must lie in [0, 1)")
     T = as_matrix(T)
     S = as_matrix(S)
+    if T.shape != S.shape:
+        raise DimensionError(
+            f"matrices must share a dimension, got {T.shape[0]} and {S.shape[0]}"
+        )
     phis = np.arange(_SCAN_GRID // 2) * (_TWO_PI / _SCAN_GRID)
-    wT, wS = (float(w) for w in _grid_omega(np.stack((T, S)), phis))
+    TS = np.stack((T, S))
+    hi, lo = _grid_extremes(TS, phis)
+    wT, wS = (float(w) for w in np.maximum(hi, -lo).max(axis=1))
     if wS == 0.0:
         return 0.0, 0j
     r_hi = 2.0 * wT / wS if wT > 0.0 else 1.0
@@ -297,11 +357,19 @@ def direct_lambda_scan(
         return w * w - wT * wT + 2.0 * eps * r * wT * wS
 
     slack = 1e-12 * (np.linalg.norm(T) + rs * np.linalg.norm(S))
-    keep = np.arange(lams.size)
+
+    def bounds(idx, step):
+        """Lower and upper F of lams[idx] from every step-th angle."""
+        w, r = _scan_omegas(T, S, lams[idx], phis[::step]), rs[idx]
+        return margin(w, r), margin(w / math.cos(math.pi * step / _SCAN_GRID) + slack[idx], r)
+
+    lower = margin(_rayleigh_lower(T, S, _support_vectors(TS, phis, hi, lo), lams, slack), rs)
+    best = bounds(np.argmin(lower)[None], _PRUNE_STEPS[-1])[1][0]
+    keep = np.flatnonzero(lower <= best)
     for step in _PRUNE_STEPS:
-        lo, r = _scan_omegas(T, S, lams[keep], phis[::step]), rs[keep]
-        up = margin(lo / math.cos(math.pi * step / _SCAN_GRID) + slack[keep], r)
-        keep = keep[margin(lo, r) <= up.min()]
+        low, up = bounds(keep, step)
+        best = min(best, up.min())
+        keep = keep[low <= best]
     margins = margin(_scan_omegas(T, S, lams[keep], phis), rs[keep])
     k = int(np.argmin(margins))
     return float(margins[k]), complex(lams[keep[k]])

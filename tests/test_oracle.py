@@ -159,6 +159,11 @@ def test_scan_zero_direction_short_circuits():
     assert lam == 0j
 
 
+def test_scan_rejects_mismatched_sizes():
+    with pytest.raises(DimensionError, match="share a dimension, got 2 and 3"):
+        direct_lambda_scan(T22, np.eye(3), 0.0, grid_r=16, grid_theta=16)
+
+
 def test_scan_rejects_small_grids():
     with pytest.raises(ValueError):
         direct_lambda_scan(T22, S22, 0.0, grid_r=8)
@@ -294,38 +299,88 @@ def _pruning_cases():
                                 (2, 0.10592846105366001, 3, (31, 32))):
         S = c * cmath.exp(1j * math.pi * (0.25 + 0.5 * quarter)) * np.eye(n)
         yield pytest.param(np.zeros((n, n), dtype=complex), S, grid, id=f"zero-T-tie-n{n}")
+    # With S = T, T + lambda S is 0 at lambda = -1, and at eps = 1 / grid_r
+    # the margin there ties that of lambda = 2 / grid_r - 1 up to rounding.
+    # The rounding allowance vanishes in the margin at lambda = -1, so the
+    # seed's upper margin, taken there, is the tie's value, and a lower
+    # bound at 2 / grid_r - 1 one rounding above its grid radius prunes the
+    # first minimum. The range of e^{i pi / 1024} I is one point halfway
+    # between two scan angles: its grid radius is cos(pi / 1024), while
+    # every Rayleigh quotient has modulus 1.
+    T = cmath.exp(1j * math.pi / 1024) * np.eye(3)
+    yield pytest.param(T, T.copy(), (16, 16), id="halfway-identity-tie")
+    # a normal T with the same top eigenvalue, where the bound without the
+    # rounding allowance rounds above the grid radius at 2 / grid_r - 1
+    # (found by a search over the seed)
+    gen = generators(30)
+    U = gen.unitary(3)
+    d = np.concatenate(([cmath.exp(1j * math.pi / 1024)], 0.45 * gen.unit_vector(2)))
+    T = U @ np.diag(d) @ np.conj(U.T)
+    yield pytest.param(T, T.copy(), (16, 16), id="halfway-normal-tie")
 
 
 @pytest.mark.parametrize("T, S, grid", list(_pruning_cases()))
 def test_pruned_scan_is_the_unpruned_scan_bit_for_bit(T, S, grid):
-    epsilons = (0.0, 0.5, 0.98)
+    # 1 / grid_r makes the S = T cases tie (see ``_pruning_cases``)
+    epsilons = (0.0, 1.0 / grid[0], 0.5, 0.98)
     for eps, ref in zip(epsilons, _unpruned_scan(T, S, epsilons, *grid)):
         assert direct_lambda_scan(T, S, eps, *grid) == ref, eps
 
 
+def _bound_bases(gen, n):
+    """Bases for the Rayleigh bound: generic, Hermitian, square-zero, zero, normal."""
+    yield "generic", gen.matrix(n)
+    yield "hermitian", gen.hermitian(n)
+    if n > 1:
+        yield "square-zero", gen.nilpotent_rank_one(n)
+    yield "zero", np.zeros((n, n), dtype=complex)
+    # eigenvalues halfway between scan angles, where the bound is tightest
+    k = 2 * np.arange(n) * 97 % 1024 + 1
+    d = np.linspace(1.0, 0.4, n) * np.exp(1j * math.pi * k / 1024)
+    U = gen.unitary(n)
+    yield "normal-halfway", U @ np.diag(d) @ np.conj(U.T)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rayleigh_lower_bound_never_exceeds_the_grid_radius(n):
+    gen = generators(7300 + n)
+    phis = np.arange(512) * (2.0 * math.pi / 1024)
+    for name, T in _bound_bases(gen, n):
+        for S in (gen.matrix(n), T.copy()):
+            TS = np.stack((T, S))
+            X = oracle._support_vectors(TS, phis, *oracle._grid_extremes(TS, phis))
+            # and any unit vectors: the bound holds for every one
+            Z = gen.matrix(n)
+            Z /= np.linalg.norm(Z, axis=1)[:, None]
+            rs = np.repeat(np.geomspace(1e-3, 4.0, 8), 8)
+            lams = rs * np.exp(2j * math.pi * np.tile(np.arange(8), 8) / 8)
+            lams = np.concatenate((lams, [-1.0, -0.5, 1j]))
+            rs = np.abs(lams)
+            slack = 1e-12 * (np.linalg.norm(T) + rs * np.linalg.norm(S))
+            omegas = oracle._scan_omegas(T, S, lams, phis)
+            for V in (X, Z):
+                lower = oracle._rayleigh_lower(T, S, V, lams, slack)
+                assert (lower >= 0.0).all()
+                assert (lower <= omegas).all(), (name, lams[lower > omegas])
+
+
 def test_tiered_pruning_halves_the_scan_work(monkeypatch):
-    # matrix-angle eigenproblems solved by the scan's sweeps of T + lambda S,
-    # against the single prune over every 32nd angle with the same bounds
+    # matrix-angle eigenproblems solved by the scan's sweeps of T + lambda S;
+    # the tiers alone, with every lambda entering the first, solved 3,896
+    # on this pair
     gen = generators(7101)
     T, S = gen.matrix(4), gen.matrix(4)
-    solved = []
+    solved = 0
     scan_omegas = oracle._scan_omegas
 
     def counted(T, S, lams, phis):
-        solved[-1] += lams.size * phis.size
+        nonlocal solved
+        solved += lams.size * phis.size
         return scan_omegas(T, S, lams, phis)
 
     monkeypatch.setattr(oracle, "_scan_omegas", counted)
-    out = []
-    for steps in ((32,), oracle._PRUNE_STEPS):
-        monkeypatch.setattr(oracle, "_PRUNE_STEPS", steps)
-        solved.append(0)
-        out.append(direct_lambda_scan(T, S, 0.5, 16, 32))
-    assert out[0] == out[1]
-    one_tier, tiered = solved
-    # every lambda on 16 angles, then each one kept on all 512
-    assert one_tier >= 512 * 16 + 512
-    assert 2 * tiered <= one_tier, (tiered, one_tier)
+    assert direct_lambda_scan(T, S, 0.5, 16, 32) == _unpruned_scan(T, S, (0.5,), 16, 32)[0]
+    assert 2 * solved <= 3896, solved
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1, 1.0, 3.0])
