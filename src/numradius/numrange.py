@@ -48,8 +48,9 @@ One eigensolve gives the slope of lambda_max with its value: by
 Hellmann-Feynman it is -Im(e^{i theta} <T x, x>) for a top eigenvector
 x. It vanishes at a peak, where e^{i theta} <T x, x> is real: at the
 top peak, |<T x, x>| = omega(T).
-Brent's zeroin finds that sign change in 5-8 eigensolves per peak,
-where golden section on values took 30-47.
+Brent's zeroin finds that sign change in 5-8 eigensolves per peak; a
+bracket whose end slopes do not change sign is re-split at the slope's
+sign changes on the 1024-angle grid inside it (`_resplit`).
 
 Every public call divides T by a power of two on entry (`linalg._as_unit`)
 and multiplies its answer back; c T for a power of two c shares T's cached
@@ -93,8 +94,6 @@ GRID_DEFAULT = 1024
 
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
-# `wderiv._ActiveSet` ties active values within _FLAT n ||T|| of each other
-_FLAT = 4.0 * _EPS
 # a pruned sweep bounds 32 arcs: at delta = 2 pi / 32 the corner of two
 # supporting lines lies within 0.5 % of equal samples (sec(pi / 32))
 _ARCS = 32
@@ -108,8 +107,6 @@ _PRUNE_MIN_N = 3
 # 13.45-13.68; 2 cores, numpy 2.4.6 on OpenBLAS), `ortho-disk` the same
 # within noise; the cut between 5 and 8 rests on the timing above alone
 _BISECT_MIN_N = 8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # step cap of one peak search; on the benchmark pools a search takes 3-10
 _ROOT_STEPS = 200
 # a peak-search call of at most this many brackets runs one generator per
@@ -196,12 +193,13 @@ class _Profile:
     Both are filled lazily. ``sweep``, T's one sweep whatever the tol
     (`_shared`), solves the curves as far as a caller reads them, and
     ``sweep.full()`` gives the whole curves. ``peaks_above`` refines the
-    grid runs a peak of a given value may come from, and ``peaks`` refines
-    every run within ``2 ||T|| h`` of the grid maximum.
+    grid runs a peak of a given value may come from; at -inf, every run
+    within ``2 ||T|| h`` of the grid maximum.
 
     ``tol`` is the refinement tolerance on the radius of this unit-scaled
-    T: peaks are located to brackets of tol / ||T|| rad; None refines to
-    1e-10 ||T|| (brackets of 1e-10 rad)."""
+    T: peaks are located to brackets of tol / ||T|| rad; None, the
+    scale-free profile that ``wderiv`` reads, refines to 1e-10 ||T||
+    (brackets of 1e-10 rad)."""
 
     def __init__(self, T: np.ndarray, tol: float | None):
         self.T = T
@@ -249,10 +247,6 @@ class _Profile:
     def floor(self) -> float:
         """``sweep.floor`` at T's Lipschitz constant ||T||."""
         return self.sweep.floor(self.lip)
-
-    @property
-    def peaks(self) -> list[tuple[float, float]]:
-        return self.peaks_above(-math.inf)
 
     def peaks_above(self, level: float) -> list[tuple[float, float]]:
         """Sorted refined peaks (theta, value): every one of value at least
@@ -303,18 +297,6 @@ class _Profile:
         self._cut = level
 
 
-def _lammax_fn(T: np.ndarray):
-    """Scalar theta -> lambda_max(H_theta(T)), the sweep's bits: closed forms
-    for n = 2 (on Python floats; cos and sin are cmath.exp(i theta)'s parts)
-    and n = 3 (`_extremes_at` at one angle)."""
-    if T.shape[0] == 2:
-        c = _rot2(T)
-        return lambda theta: _eig2_rot(c, math.cos(theta), math.sin(theta))[1]
-    if T.shape[0] == 3:
-        return lambda theta: float(_extremes_at(T, [theta])[1][0])
-    return lambda theta: float(np.linalg.eigvalsh(_hermitian_rot(T, cmath.exp(1j * theta)))[-1])
-
-
 def _extremes_at(M: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(M) at the angles ``thetas``,
     broadcast against the stack axes of a matrix or (..., n, n) stack M.
@@ -322,7 +304,7 @@ def _extremes_at(M: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     n = 2 and n = 3 read H_theta's entries off M by real products for the
     closed form `linalg._eig2_rot` or `linalg._eig3_rot`; any other n takes
     one batched LAPACK eigensolve. Either way each angle's bits are those
-    of a solve of that angle alone, as `_lammax_fn` makes."""
+    of a call at that angle alone."""
     z = np.exp(1j * np.asarray(thetas))
     if M.shape[-1] == 2:
         return _eig2_rot(_rot2(M), z.real, z.imag)
@@ -354,7 +336,7 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
 
     On an even grid with n != 2, angle k + grid/2 takes
     lambda_min = -lambda_max and lambda_max = -lambda_min of angle k
-    (H_{theta+pi} = -H_theta), so `_lammax_fn` has the sweep's bits at
+    (H_{theta+pi} = -H_theta), so `_extremes_at` has the sweep's bits at
     every angle at n = 2 and at the solved ones at n = 3. A (..., n, n)
     stack of matrices gives (..., grid) curves from one `_extremes_at` call.
     """
@@ -591,42 +573,6 @@ class _Sweep:
         return low
 
 
-def _golden_max(f, a: float, b: float, width: float, seed_best: tuple[float, float]):
-    """Golden-section maximization on [a, b] down to bracket `width`.
-
-    Returns the best evaluated point (x, f(x)); never worse than
-    ``seed_best``, which lets callers seed with a known grid value.
-    """
-    xb, fb = seed_best
-    h = b - a
-    if h <= width:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        return (m, fm) if fm > fb else (xb, fb)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc = f(c)
-    fd = f(d)
-    for _ in range(120):
-        if fc > fb:
-            xb, fb = c, fc
-        if fd > fb:
-            xb, fb = d, fd
-        if h <= width:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    return xb, fb
-
-
 def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
     """Refine the peak of one bracket [a, b], as a generator.
 
@@ -693,6 +639,22 @@ def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
             far = prev
             d = e = x - prev[0]
     return (cur[0] if cur[1] >= fb - _TIE * abs(fb) else xb), fb, True
+
+
+def _peak_of(fg, a: float, b: float, width: float, enough: float = math.inf):
+    """`_peak_search` of [a, b], unseeded, on a scalar fg(x) -> (value, slope):
+    its (x, f), or the first evaluated (x, f) with f > ``enough``."""
+    search = _peak_search(a, b, width, (a, -math.inf))
+    xs = next(search)
+    while True:
+        vals = [fg(x) for x in xs]
+        for x, (f, _) in zip(xs, vals):
+            if f > enough:
+                return x, f
+        try:
+            xs = search.send(tuple(zip(*vals)))
+        except StopIteration as stop:
+            return stop.value[:2]
 
 
 def _peak_lanes(Ms: np.ndarray, owner, a, b, seeds, width: float, sign: float):
@@ -784,11 +746,11 @@ def _refine_peaks(
     rounds. A call of more than `_SCALAR_LANES` brackets steps them all
     as arrays (`_peak_lanes`), the same bits as the generators, which cost
     a Python send per bracket and round. A bracket whose end slopes do
-    not straddle zero is refined by `_golden_max` on values, from the
-    best point of its search. At n = 2 a generator round of at most
-    `_SCALAR_LANES` lanes takes the closed form on Python floats, the
-    same bits as the batched one: most of those calls refine one or two
-    brackets, where numpy's per-call cost exceeds the arithmetic.
+    not straddle zero is re-split on the grid's slopes (`_resplit`). At
+    n = 2 a generator round of at most `_SCALAR_LANES` lanes takes the
+    closed form on Python floats, the same bits as the batched one: most
+    of those calls refine one or two brackets, where numpy's per-call
+    cost exceeds the arithmetic.
     """
     sign = -1.0 if negate else 1.0
     owner = np.asarray(owner)
@@ -797,13 +759,41 @@ def _refine_peaks(
         out = list(zip(*_peak_lanes(Ms, owner, *arrays, width, sign)))
     else:
         out = _peak_rounds(Ms, owner.tolist(), a, b, seeds, width, sign)
-    for i, (x, fx, bracketed) in enumerate(out):
-        out[i] = (x, fx)
-        if not bracketed:
-            fn = _lammax_fn(Ms[owner[i]])
-            f1 = (lambda th, fn=fn: -fn(th)) if negate else fn
-            out[i] = _golden_max(f1, a[i], b[i], width, (x, fx))
+    miss = [i for i, (_, _, bracketed) in enumerate(out) if not bracketed]
+    out = [(x, fx) for x, fx, _ in out]
+    if miss:
+        _resplit(Ms, owner, a, b, width, out, miss, sign)
     return out
+
+
+def _resplit(Ms: np.ndarray, owner, a, b, width: float, out: list, miss: list, sign: float):
+    """Refine again, into ``out``, the brackets ``miss`` of a
+    `_refine_peaks` call, whose end slopes do not straddle zero: each is
+    evaluated, in one `_slopes_at` call for all, at its ends and at the
+    grid angles 2 pi k / 1024 inside it, and every rise-to-fall sign
+    change of the slope there is refined as a bracket of its own, seeded
+    with the best value evaluated. A bracket with none keeps that value.
+    """
+    h = _TWO_PI / GRID_DEFAULT
+    pts = [[a[i], *(k * h for k in range(math.floor(a[i] / h), math.ceil(b[i] / h) + 1)
+                    if a[i] < k * h < b[i]), b[i]] for i in miss]
+    f, g = _slopes_at(Ms, np.repeat(owner[miss], [len(x) for x in pts]), [t for x in pts for t in x])
+    f, g = (sign * f).tolist(), (sign * g).tolist()
+    subs, at = [], 0  # (bracket, left end, right end) of each sign change
+    for i, x in zip(miss, pts):
+        fx, gx = f[at : at + len(x)], g[at : at + len(x)]
+        at += len(x)
+        j = max(range(len(x)), key=fx.__getitem__)
+        if fx[j] > out[i][1]:
+            out[i] = (x[j], fx[j])
+        subs += [(i, x[p], x[p + 1]) for p in range(len(x) - 1) if gx[p] >= 0.0 >= gx[p + 1]]
+    if subs:
+        parent, lo, hi = zip(*subs)
+        seeds = [out[i] for i in parent]
+        got = _refine_peaks(Ms, owner[list(parent)], lo, hi, width, seeds, sign < 0.0)
+        for i, r in zip(parent, got):
+            if r[1] >= out[i][1]:
+                out[i] = r
 
 
 def _peak_rounds(Ms: np.ndarray, owner: list, a, b, seeds, width: float, sign: float):
@@ -877,28 +867,30 @@ def _cyclic_runs(x: np.ndarray, low=None) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _refine_runs(
     Ms: np.ndarray, curves: np.ndarray, cuts, width: float, negate: bool = False
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The largest value of each curve k, a grid sweep of
     theta -> lambda_max(H_theta(Ms[k])) (its negation with ``negate``),
     raised by refining to bracket ``width`` every cyclic run of its
     local maxima at or above ``cuts[k]``: every run of every curve in one
-    `_refine_peaks` call."""
+    `_refine_peaks` call. Returns those values and their angles."""
     g = curves.shape[-1]
     h = _TWO_PI / g
     row, s, e = _cyclic_runs(curves, cuts)
     seeds = list(zip((0.5 * (s + e) * h).tolist(), curves[row, s % g].tolist()))
     a, b = ((s - 1) * h).tolist(), ((e + 1) * h).tolist()
     refined = _refine_peaks(Ms, row, a, b, width, seeds, negate)
-    best = curves.max(axis=-1)
-    for k, (_, fx) in zip(row.tolist(), refined):
-        best[k] = max(best[k], fx)
-    return best
+    best, at = curves.max(axis=-1), curves.argmax(axis=-1) * h
+    for k, (x, fx) in zip(row.tolist(), refined):
+        if fx > best[k]:
+            best[k], at[k] = fx, x
+    return best, at
 
 
 def _radius_near(
     p: _Profile, Ms: np.ndarray, reach: float, lip: float, width: float
-) -> np.ndarray:
-    """omega(M) for every M of a stack Ms[k] = T + r e^{i theta_k} S.
+) -> tuple[np.ndarray, np.ndarray]:
+    """omega(M) for every M of a stack Ms[k] = T + r e^{i theta_k} S, and
+    the angle phi at which lambda_max(H_phi(M)) attains it.
 
     ``p`` is T's profile, ``reach`` is r omega(S) and ``lip`` is
     ||T|| + r ||S||. The support function of each M is within ``reach`` of
@@ -906,7 +898,7 @@ def _radius_near(
     2 ``reach`` of omega(T). One search over two peaks can settle on the
     lower one. So when that window covers at most 1/8 of T's grid, each
     of its runs is cut at T's interior grid minima and each piece is
-    searched whole, seeded at T's grid argmax in it. A wider window (a
+    searched whole. A wider window (a
     disk-like range, or a large r) takes a 256-angle sweep of every M
     instead and refines each grid peak within ``lip`` times its step of
     the top on its own (`_refine_runs`); a window level at or below the
@@ -936,16 +928,15 @@ def _radius_near(
         dips = s + 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
         ends = [s - 1, *dips.tolist(), e + 1]
         pieces += zip(ends[:-1], ends[1:])
-    peaks = [s + 1 + int(np.argmax(hi[np.arange(s + 1, e) % g])) for s, e in pieces]
     owner = np.repeat(np.arange(K), len(pieces))
     a = [s * h for s, _ in pieces] * K
     b = [e * h for _, e in pieces] * K
-    x0 = [(k % g) * h for k in peaks] * K
-    seeds = list(zip(x0, _extremes_at(Ms[owner], x0)[1].tolist()))
-    best = np.full(K, -math.inf)
-    for k, (_, fx) in zip(owner, _refine_peaks(Ms, owner, a, b, width, seeds)):
-        best[k] = max(best[k], fx)
-    return best
+    seeds = [(x, -math.inf) for x in a]
+    best, at = np.full(K, -math.inf), np.zeros(K)
+    for k, (x, fx) in zip(owner.tolist(), _refine_peaks(Ms, owner, a, b, width, seeds)):
+        if fx > best[k]:
+            best[k], at[k] = fx, x
+    return best, at
 
 
 _PROFILE_CACHE = _LRU(1024)
@@ -982,11 +973,6 @@ def _profile(T: np.ndarray, tol: float | None = 1e-10) -> _Profile:
     return hit
 
 
-def _rel_profile(T: np.ndarray) -> _Profile:
-    """The scale-free profile (``tol=None``) that the derivatives read."""
-    return _profile(T, None)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -1014,8 +1000,9 @@ def numerical_radius(T, tol: float = 1e-10) -> RadiusResult:
     change of the slope, so a peak, and both its ends were evaluated; the
     enclosure is certified by the Lipschitz bound
     |lambda_max(H_a) - lambda_max(H_b)| <= ||T|| |a - b| applied to it.
-    (A bracket whose end slopes do not change sign falls back to golden
-    section, for which the bound holds when the search keeps the peak.)
+    (A bracket whose end slopes do not change sign is re-split at the slope's
+    sign changes on the grid inside it; one with none keeps its best value,
+    which the bound covers unless the slope changes sign twice in a step.)
 
     The zero matrix returns omega = 0, theta_star = 0, maximizer = e1.
     """
@@ -1059,7 +1046,7 @@ def crawford_number(T, tol: float = 1e-10) -> float:
         return 0.0
     # lambda_min(H_theta(T)) = -lambda_max(H_theta(-T))
     cut = best_grid - 2.0 * lip * h
-    best = _refine_runs((-T)[None], lo[None], [cut], tol / scale / lip, negate=True)
+    best, _ = _refine_runs((-T)[None], lo[None], [cut], tol / scale / lip, negate=True)
     return scale * max(0.0, float(best[0]))
 
 

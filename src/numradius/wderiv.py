@@ -34,8 +34,8 @@ holds for every complex lam, which is equivalent to
 where D(theta) is the derivative above. ``is_omega_orthogonal``
 implements both characterizations independently: the "derivative"
 method locates the minimizing angle, the "direct" method minimizes the
-margin of the defining inequality over the whole lam plane, by golden
-section along rays. The two routes share no decision logic, so each
+margin of the defining inequality over the whole lam plane, by zeroin
+on its slope along rays. The two routes share no decision logic, so each
 validates the other. Every public call divides T and S by powers of two
 a and b on entry (`_unit_pair`) and multiplies its answers back: by a b
 for a derivative or its tolerance, by a / b for a step r.
@@ -174,9 +174,9 @@ def diff_quotient(T, S, theta: float, r: float) -> float:
     r = float(r) / a * b  # in the units of the unit pair
     if not (r > 0.0) or not math.isfinite(r):
         raise ValueError("step r must be positive and finite at the scale of T and S")
-    w0 = numrange._rel_profile(T).omega
+    w0 = numrange._profile(T, None).omega
     M, c = _as_unit(T + (r * cmath.exp(1j * theta)) * S)
-    wr = c * numrange._rel_profile(M).omega
+    wr = c * numrange._profile(M, None).omega
     return a * (b * ((wr * wr - w0 * w0) / (2.0 * r)))
 
 
@@ -195,7 +195,7 @@ def _quotient_limits(
     and a start at r0 2^-25 puts the limit of a square-zero pair 1.02e-7
     ||T|| ||S|| below the exact minimum, past the 1e-7 the tests allow.
     """
-    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
+    pT, pS = numrange._profile(T, None), numrange._profile(S, None)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
         return [DerivativeResult(0.0, float(t), (), True) for t in thetas]
@@ -214,7 +214,7 @@ def _quotient_limits(
         Ms = np.stack([T + r * Us[i] for i in ids for r in pending[i]])
         top = max(rs)
         width = min(pT.sweep.h, max(math.sqrt(min(rs) * tol) / (2.5 * scale), 1e-14))
-        w = numrange._radius_near(pT, Ms, top * wS, pT.lip + top * pS.lip, width).tolist()
+        w = numrange._radius_near(pT, Ms, top * wS, pT.lip + top * pS.lip, width)[0].tolist()
         k = 0
         for i in ids:
             m = len(pending[i])
@@ -297,7 +297,7 @@ def semi_inner(S, T) -> float:
     second the base point, matching the usual bracket convention.
     """
     T, S, a, b = _unit_pair(T, S)
-    unit = numrange._rel_profile(T).lip * numrange._rel_profile(S).lip
+    unit = numrange._profile(T, None).lip * numrange._profile(S, None).lip
     return a * (b * _quotient_limits(T, S, (0.0,), 1e-8 * unit)[0].value)
 
 
@@ -310,7 +310,7 @@ def derivative_via_maximizers(T, S, theta: float) -> float:
     """
     T, S, a, b = _unit_pair(T, S)
     theta = _validate_theta(theta)
-    wT = numrange._rel_profile(T).omega
+    wT = numrange._profile(T, None).omega
     return a * (b * (wT * _ActiveSet(T, S).settle(theta)[0])) if wT > 0.0 else 0.0
 
 
@@ -384,15 +384,15 @@ class _ActiveSet:
     any active angle between them."""
 
     def __init__(self, T: np.ndarray, S: np.ndarray):
-        pT = numrange._rel_profile(T)
+        pT = numrange._profile(T, None)
         self.T, self.S = T, S
         self.floor = pT.omega - 1e-9 * pT.lip  # lambda_max of an active angle
         # a curve sampled at spacing h stays within curv h^2 of its samples
         # (the arcs of square-zero bases bend by at most 2.1 ||S|| per rad^2)
-        self.curv = numrange._rel_profile(S).lip
+        self.curv = numrange._profile(S, None).lip
         # on an arc, eigenvalues share a top eigenspace only if they tie to
         # rounding, or a block active at one angle would turn with the arc
-        self.tie = numrange._FLAT * T.shape[0] * pT.lip
+        self.tie = 4.0 * numrange._EPS * T.shape[0] * pT.lip
         self.blocks: dict[int, list[tuple]] = {}  # size: [(phi, C, spacing)]
         self.pts = np.empty(0, _POINT)
         gap = 1e-8 * pT.lip
@@ -408,15 +408,18 @@ class _ActiveSet:
             top, second = np.concatenate((w[:, -1:-3:-1], -w[:, :2])).T
             near = (second >= self.floor - pT.lip * h * h) & (second < top - self.tie)
             for phi in np.concatenate((phis, phis + math.pi))[near].tolist():
-                seed = (phi, self._second(phi))
-                x, _ = numrange._golden_max(self._second, phi - h, phi + h, 1e-9, seed)
+                x, _ = numrange._peak_of(self._second, phi - h, phi + h, 1e-9)
                 self._arc(np.array([x]), 0.0, gap)
         # about 1024 support points of blocks, at least 16 per block
         self.ring = max(16, 1024 // max(1, sum(map(len, self.blocks.values()))))
         self._blocks_at(np.arange(self.ring) * (_TWO_PI / self.ring))
 
-    def _second(self, phi: float) -> float:
-        return float(np.linalg.eigvalsh(_hermitian_rot(self.T, cmath.exp(1j * phi)))[-2])
+    def _second(self, phi: float) -> tuple[float, float]:
+        """(lambda_2(H_phi(T)), its slope -Im(e^{i phi} <T y, y>) at its eigenvector y)."""
+        z = cmath.exp(1j * phi)
+        w, V = np.linalg.eigh(_hermitian_rot(self.T, z))
+        y = V[:, -2]
+        return float(w[-2]), float(-(z * np.vdot(y, self.T @ y)).imag)
 
     def _add(self, p, phi, h) -> None:
         new = np.empty(np.size(p), _POINT)
@@ -509,8 +512,8 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
 
 def _inf_unit(T: np.ndarray, S: np.ndarray, tol: float) -> tuple[float, float]:
     """`inf_derivative` of a pair from `_unit_pair`, to its tol."""
-    pT = numrange._rel_profile(T)
-    pS = numrange._rel_profile(S)
+    pT = numrange._profile(T, None)
+    pS = numrange._profile(S, None)
     if pT.omega == 0.0 or pS.omega == 0.0:
         return (0.0, 0.0)
     ld = pT.lip * pS.lip  # the unit of D
@@ -542,7 +545,7 @@ def min_epsilon(T, S) -> float:
     the radius entirely).
     """
     T, S, _, _ = _unit_pair(T, S)
-    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
+    pT, pS = numrange._profile(T, None), numrange._profile(S, None)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
         return 0.0
@@ -582,10 +585,12 @@ def min_epsilon(T, S) -> float:
 # make F >= 0 automatically.
 #
 # Violation candidates (negative normalized margin or failed strip
-# bound) are confirmed by a golden-section search of the convex ray
-# (46 evaluations, ended by the first F < -2 tau) before the
-# verdict is allowed to say "not orthogonal"; certification never
-# relies on the micro samples alone where they look suspicious. If the
+# bound) are confirmed by zeroin on the slope of F along the convex ray
+# (`_Gauge.ray_point`), ended by the first F < -2 tau, before the
+# verdict is allowed to say "not orthogonal". F(r_max) >= 0 = F(0), so
+# F'(r_max) >= 0: a ray with F'(r_lo) > 0 has its minimum at r_lo, an
+# end the search evaluates first. Certification never relies on the
+# micro samples alone where they look suspicious. If the
 # bisection hits its depth cap (possible only within ~tolerance of the
 # exact orthogonality boundary, or for adversarial curvature kinks at
 # micro radii), the verdict falls back to the best accurately evaluated
@@ -597,10 +602,6 @@ def min_epsilon(T, S) -> float:
 # one fixed peak-search width, so the nodes and the confirmations agree.
 
 
-class _Violation(Exception):
-    """Ends a ray search at its first confirmed violation, F < -2 tau."""
-
-
 class _Gauge:
     """Gauge-specific accurate evaluators of g(T + r e^{i theta} S)^2."""
 
@@ -609,8 +610,8 @@ class _Gauge:
         self.T = T
         self.S = S
         if kind == "omega":
-            self.profT = numrange._rel_profile(T)
-            profS = numrange._rel_profile(S)
+            self.profT = numrange._profile(T, None)
+            profS = numrange._profile(S, None)
             self.gT = self.profT.omega
             self.gS = profS.omega
             self.lipS = profS.lip
@@ -628,17 +629,33 @@ class _Gauge:
         whose window holds those of the smaller radii, with peak searches
         down to brackets of 1e-7.
         """
+        return self._batch(thetas, r)[0]
+
+    def _batch(self, thetas: np.ndarray, r):
+        """(`micro_batch`'s g^2, the matrices, their peak angles or None)."""
         Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
         if self.kind == "sigma":
             G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
-            return np.maximum(_extremes(G)[1], 0.0)
+            return np.maximum(_extremes(G)[1], 0.0), Ms, None
         top = float(np.max(r))
-        w = numrange._radius_near(self.profT, Ms, top * self.gS, self.norm + top * self.lipS, 1e-7)
-        return np.maximum(w, 0.0) ** 2
+        w, phi = numrange._radius_near(self.profT, Ms, top * self.gS, self.norm + top * self.lipS, 1e-7)
+        return np.maximum(w, 0.0) ** 2, Ms, phi
 
-    def acc_sq(self, theta: float, r: float) -> float:
-        """Accurate g^2 at one point: micro_batch at a single angle."""
-        return float(self.micro_batch(np.array([theta]), r)[0])
+    def ray_point(self, theta: float, r: float) -> tuple[float, float]:
+        """`micro_batch`'s g^2 at the point (theta, r) and its derivative in
+        r (Danskin): 2 omega(M) Re(e^{i (phi + theta)} <S x, x>) for a top
+        eigenvector x of H_phi(M) at M's peak angle phi (radius gauge), or
+        2 Re(e^{i theta} <S v, M v>) for a top eigenvector v of M* M."""
+        (g2,), (M,), phi = self._batch(np.array([theta]), r)
+        if phi is None:
+            y = np.linalg.eigh(M.conj().T @ M)[1][:, -1]
+            left = M @ y
+        else:
+            z = cmath.exp(1j * phi[0])
+            y = np.linalg.eigh(_hermitian_rot(M, z))[1][:, -1]
+            left = (math.sqrt(g2) * z.conjugate()) * y
+        # both are 2 Re(e^{i theta} <S y, left>)
+        return float(g2), 2.0 * float((cmath.exp(1j * theta) * np.vdot(left, self.S @ y)).real)
 
 
 def _scan_minimum(
@@ -687,22 +704,17 @@ def _scan_minimum(
 
     def ray_search(th: float) -> float | None:
         """Accurate convex minimization of F over [r_lo, r_max] at theta:
-        golden section on -F, at most 40 rays per scan."""
+        zeroin on the slope of F, ended by the first F < -2 tau (a
+        confirmed violation), at most 40 rays per scan."""
         if th in searched or len(searched) >= 40:
             return None
         searched.add(th)
 
-        def f(r: float) -> float:
-            v = F(th, r, gauge.acc_sq(th, r))
-            if v < -2.0 * tau:
-                # a violation is confirmed; its exact depth is not needed
-                raise _Violation(v)
-            return -v
+        def fg(r: float) -> tuple[float, float]:
+            g2, slope = gauge.ray_point(th, r)
+            return -F(th, r, g2), -(slope + off)
 
-        try:
-            return -numrange._golden_max(f, r_lo, r_max, 1e-9 * r_max, (r_lo, -math.inf))[1]
-        except _Violation as hit:
-            return hit.args[0]
+        return -numrange._peak_of(fg, r_lo, r_max, 1e-9 * r_max, 2.0 * tau)[1]
 
     def candidate(th: float) -> bool:
         mt, bb = nodes[th]
@@ -772,7 +784,7 @@ def is_omega_orthogonal(
     if method not in ("derivative", "direct"):
         raise ValueError("method must be 'derivative' or 'direct'")
     T, S, a, b = _unit_pair(T, S)
-    pT, pS = numrange._rel_profile(T), numrange._rel_profile(S)
+    pT, pS = numrange._profile(T, None), numrange._profile(S, None)
     wT, wS = pT.omega, pS.omega
     if wT == 0.0 or wS == 0.0:
         return OrthoReport(True, eps, 0.0, 0.0, 0.0, 0.0, method, 0.0)

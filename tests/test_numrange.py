@@ -16,8 +16,6 @@ from numradius.numrange import (
     _sweep_extremes,
     boundary_points,
     _cyclic_runs,
-    _golden_max,
-    _lammax_fn,
     _profile,
     _refine_peaks,
     crawford_number,
@@ -493,6 +491,18 @@ def _one_bracket_refine(Ms, owner, a, b, width, seeds, negate=False):
     ]
 
 
+def _scalar_lammax(T):
+    """Scalar theta -> lambda_max(H_theta(T)) with the sweep's bits: the
+    2x2 closed form on Python floats (cos and sin are cmath.exp(i theta)'s
+    parts), `_extremes_at` at one angle at n = 3, else one eigvalsh."""
+    if T.shape[0] == 2:
+        c = linalg._rot2(T)
+        return lambda t: linalg._eig2_rot(c, math.cos(t), math.sin(t))[1]
+    if T.shape[0] == 3:
+        return lambda t: float(numrange._extremes_at(T, [t])[1][0])
+    return lambda t: float(np.linalg.eigvalsh(linalg._hermitian_rot(T, cmath.exp(1j * t)))[-1])
+
+
 def _lockstep_brackets(Ms, seed):
     """Brackets of the matrices of Ms in turn, from below the stopping
     width up to 0.3: around each matrix's top peak (its end slopes
@@ -505,7 +515,7 @@ def _lockstep_brackets(Ms, seed):
         k = i % len(Ms)
         lo = float(tops[k] - span * rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(0.0, 6.0))
         x0 = lo + 0.5 * span
-        f0 = _lammax_fn(Ms[k])(x0) + (1.0 if i % 4 == 0 else -1.0)
+        f0 = _scalar_lammax(Ms[k])(x0) + (1.0 if i % 4 == 0 else -1.0)
         owner.append(k)
         a.append(lo)
         b.append(lo + span)
@@ -530,26 +540,33 @@ def _assert_lockstep_is_one_bracket(Ms, seed, monkeypatch):
     owner, a, b, seeds = _lockstep_brackets(Ms, seed)
     rounds = _counting(monkeypatch, "_slopes_at")
     arrays = _counting(monkeypatch, "_peak_lanes")
-    golden, golden_max = [], numrange._golden_max
-    monkeypatch.setattr(numrange, "_golden_max", lambda *a: golden.append(1) or golden_max(*a))
+    # the rounds and array steps of a call's searches before its re-split
+    resplits, resplit = [], numrange._resplit
+
+    def counting(*args):
+        resplits.append((len(rounds), list(arrays)))
+        return resplit(*args)
+
+    monkeypatch.setattr(numrange, "_resplit", counting)
     cap = numrange._SCALAR_LANES
     for width in (1e-7, 1e-10, 0.0):
-        # negated, the brackets around a peak hold a minimum and fall back
+        # negated, the brackets around a peak hold a minimum and are re-split
         for negate in (False, True):
             # all 32 brackets take the array step, the first `cap` the generators
             for m in (len(owner), cap):
                 rounds.clear()
                 arrays.clear()
-                golden.clear()
+                resplits.clear()
                 args = owner[:m], a[:m], b[:m], width, seeds[:m], negate
                 got = _refine_peaks(Ms, *args)
-                assert arrays == ([m] if m > cap else [])
-                if width == 0.0 and not negate and (arrays or Ms.shape[-1] > 2):
+                # unbracketed lanes occur: the call re-splits them
+                (first_rounds, first_arrays), *_ = resplits
+                assert first_arrays == ([m] if m > cap else [])
+                if width == 0.0 and not negate and (first_arrays or Ms.shape[-1] > 2):
                     # 0.0: some bracketed search hits the step cap (the
                     # generators' 2x2 rounds of few lanes do not pass
                     # through _slopes_at)
-                    assert len(rounds) == numrange._ROOT_STEPS + 1
-                assert golden  # unbracketed lanes fall back
+                    assert first_rounds == numrange._ROOT_STEPS + 1
                 assert got == _one_bracket_refine(Ms, *args)
                 assert all(type(x) is float and type(v) is float for x, v in got)
 
@@ -558,7 +575,7 @@ def _assert_lockstep_is_one_bracket(Ms, seed, monkeypatch):
 def test_lockstep_golden_matches_scalar_search_bitwise(n, monkeypatch):
     # brackets of three matrices refined in one lockstep call equal the
     # same brackets refined one call each, bit for bit, for the slope
-    # search and its golden fallback alike, in the array step and in the
+    # search and its re-split alike, in the array step and in the
     # generators
     gen = oracle.generators(600 + n)
     Ms = np.stack([linalg.as_matrix(gen.matrix(n)) for _ in range(3)])
@@ -618,7 +635,7 @@ def test_profile_peaks_match_scalar_refinement(n):
                 (x, v), = _refine_peaks(T[None], [0], [(s - 1) * h], [(e + 1) * h],
                                         1e-10 / p.lip, [seed])
                 ref.append((x % (2.0 * math.pi), v))
-        assert p.peaks == sorted(ref)
+        assert p.peaks_above(-math.inf) == sorted(ref)
     assert len(ref) == n
 
 
@@ -671,40 +688,53 @@ def test_refined_peaks_match_slope_bisection(n):
     for _ in range(3):
         T = linalg._as_unit(gen.matrix(n))[0]
         p = _profile(T)
-        for x, v in p.peaks:
+        for x, v in p.peaks_above(-math.inf):
             xr, vr = _bisect_peak(T, x - h, x + h)
             assert abs(v - vr) <= 8.0 * p.sweep.rho, (n, x, v, vr)
             assert abs(x - xr) <= 1e-9, (n, x, xr)
 
 
-def test_peak_search_falls_back_to_golden_without_a_sign_change():
+def test_peak_search_resplits_without_a_sign_change():
     # a bracket on the rising flank of the top peak: its end slopes are
-    # both positive, so it is refined by golden section on values, from the
-    # better end, and reaches the bracket's right end
+    # both positive, and so are the slopes at the grid angles inside it,
+    # where it is re-split, so it keeps its best evaluated value: its
+    # right end
     gen = oracle.generators(515)
+    h = 2.0 * math.pi / 1024
     for n in (2, 3):
         T = linalg._as_unit(gen.matrix(n))[0]
         top = _profile(T).theta_star
         a, b = top - 0.3, top - 0.1
-        f, g = numrange._slopes_at(T[None], [0, 0], [a, b])
+        k = np.arange(math.floor(a / h), math.ceil(b / h) + 1) * h
+        x = [a, *k[(a < k) & (k < b)].tolist(), b]
+        f, g = numrange._slopes_at(T[None], [0] * len(x), x)
         assert (g > 0.0).all()
         seed = (a, -math.inf)
-        (x, v), = _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed])
-        start = (b, float(f[1])) if f[1] > f[0] else (a, float(f[0]))
-        assert (x, v) == _golden_max(_lammax_fn(T), a, b, 1e-10, start)
-        assert b - 1e-9 <= x <= b
-        # with negate, the same bracket falls back too: its slopes are
-        # both negative
-        (x, v), = _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed], negate=True)
-        start = (b, -float(f[1])) if -f[1] > -f[0] else (a, -float(f[0]))
-        assert (x, v) == _golden_max(lambda t: -_lammax_fn(T)(t), a, b, 1e-10, start)
-        assert a <= x <= a + 1e-9
+        assert _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed]) == [(b, float(f[-1]))]
+        # with negate its slopes are all negative: it ends at its left end
+        got = _refine_peaks(T[None], [0], [a], [b], 1e-10, [seed], negate=True)
+        assert got == [(a, -float(f[0]))]
+    # a normal T with unit-modulus eigenvalues e^{i alpha_j} has
+    # lambda_max(H_theta) = max_j cos(theta + alpha_j): a bracket from the
+    # rising flank of the peak at -0.3 to the rising flank of the next one
+    # holds that peak and a kink between them, and rises at both ends. The
+    # re-split brackets the peak between two grid angles and finds it as
+    # the profile does
+    U = gen.unitary(3)
+    T = U @ np.diag(np.exp(1j * np.array([0.3, 2.5, 4.4]))) @ U.conj().T
+    T = linalg._as_unit(T)[0]
+    peaks = _profile(T).peaks_above(-math.inf)
+    (xp, vp), = [(x, v) for x, v in peaks if abs(x - (2.0 * math.pi - 0.3)) < 0.01]
+    a, b = xp - 0.4, xp + 2.0
+    f, g = numrange._slopes_at(T[None], [0, 0], [a, b])
+    assert (g > 0.0).all()
+    (x, v), = _refine_peaks(T[None], [0], [a], [b], 1e-10, [(a, -math.inf)])
+    assert abs(x - xp) <= 1e-9 and abs(v - vp) <= 1e-15
 
 
 def test_radius_peak_of_a_generic_n64_matrix_takes_few_eigensolves(monkeypatch):
     # the slope search refines a peak to 1e-10 / ||T|| rad in 5-8
-    # eigensolves, its two bracket ends included; golden section on values
-    # took 41-44
+    # eigensolves, its two bracket ends included
     monkeypatch.setattr(numrange, "_PROFILE_CACHE", numrange._LRU(4))
     monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
     brackets, lanes = [], []
@@ -740,8 +770,8 @@ def test_flat_sweep_is_one_grid_peak(base):
     T = linalg.as_matrix(T)
     p = _profile(T)
     norm = linalg.spectral_norm(T)
-    assert len(p.peaks) == 1
-    assert p.peaks[0][0] in (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
+    assert len(p.peaks_above(-math.inf)) == 1
+    assert p.peaks_above(-math.inf)[0][0] in (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
     assert abs(p.omega - 0.5 * norm) <= 1e-15 * norm
     assert len(_runs(p.sweep.full()[1], -math.inf)) > 1
 
@@ -964,7 +994,7 @@ def test_pruned_sweep_is_the_full_sweep_bit_for_bit(case):
         assert [th for th, _ in got] == [th for th, _ in want]
         assert [v.tobytes() for _, v in got] == [v.tobytes() for _, v in want]
     # read last: every peak within 2 ||T|| h of the grid maximum, refined
-    assert _profile(T).peaks == ref["peaks"]
+    assert _profile(T).peaks_above(-math.inf) == ref["peaks"]
 
 
 @pytest.mark.parametrize("grid", [64, 65, 256, 1024])
@@ -1092,13 +1122,13 @@ def test_crawford_number_reads_only_the_shared_sweep(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_evaluator_is_the_scalar_one_bit_for_bit(n):
     # off the grid, for a stack broadcast against a grid of angles and for
-    # one angle per matrix (as the golden lanes and seeds call it), every
-    # lambda_max is the scalar golden search's
+    # one angle per matrix (as the seeds of `_radius_near` call it), every
+    # lambda_max is the scalar evaluator's
     gen = oracle.generators(700 + n)
     rng = np.random.default_rng(n)
     Ms = np.stack([linalg._as_unit(gen.matrix(n))[0] for _ in range(10)])
     x = rng.uniform(-7.0, 7.0, size=(10, 40))
-    want = [[_lammax_fn(M)(t) for t in row] for M, row in zip(Ms, x.tolist())]
+    want = [[_scalar_lammax(M)(t) for t in row] for M, row in zip(Ms, x.tolist())]
     assert numrange._extremes_at(Ms[:, None], x)[1].tolist() == want
     owner = np.repeat(np.arange(10), 40)
     assert numrange._extremes_at(Ms[owner], x.ravel())[1].tolist() == sum(want, [])
@@ -1125,14 +1155,14 @@ def test_radius_calls_at_two_to_the_600(base, e):
 
 
 def test_scalar_2x2_evaluator_is_the_sweep_bit_for_bit():
-    # the scalar closed form of the golden search and the batched sweep take
-    # the same formula (`linalg._eig2`) of the same real products
-    # (`linalg._eig2_rot`), so they agree at every grid angle
+    # the scalar closed form and the batched sweep take the same formula
+    # (`linalg._eig2`) of the same real products (`linalg._eig2_rot`), so
+    # they agree at every grid angle
     gen = oracle.generators(5)
     thetas = (np.arange(1024) * (2.0 * math.pi / 1024)).tolist()
     for _ in range(20):
         T = linalg.as_matrix(gen.matrix(2))
-        f = _lammax_fn(T)
+        f = _scalar_lammax(T)
         assert [f(t) for t in thetas] == _sweep_extremes(T, 1024)[1].tolist()
     # at n = 3 both take `linalg._eig3_rot` of the same real products,
     # LAPACK on the lanes its guard picks; the sweep solves the half grid
@@ -1146,7 +1176,7 @@ def test_scalar_2x2_evaluator_is_the_sweep_bit_for_bit():
     cases += [U @ np.diag([1.0, 1.0, -0.5]) @ U.conj().T, np.diag([1.0, 1.0, 1j])]
     for T in cases:
         T = linalg._as_unit(T)[0]
-        f = _lammax_fn(T)
+        f = _scalar_lammax(T)
         assert [f(t) for t in thetas[:512]] == _sweep_extremes(T, 1024)[1][:512].tolist()
 
 
@@ -1159,7 +1189,7 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
     lo_ref, hi_ref = _sweep_extremes(T, 1024)
     omega = _full_profile(T)["omega"]
     monkeypatch.setattr(numrange, "_SWEEP_CACHE", numrange._LRU(4))
-    rel_peaks = _profile(T, None).peaks
+    rel_peaks = _profile(T, None).peaks_above(-math.inf)
     # None: the whole curves; "rel": the profile with tol=None
     levels = [omega, omega - 1e-3, -math.inf, None, "rel"]
     handed, errors, wrong = [], [], []
@@ -1172,7 +1202,7 @@ def test_lazy_sweep_is_thread_safe_and_hands_out_fixed_arrays(monkeypatch):
                 got = list(zip(p.sweep.full(), (lo_ref, hi_ref)))
             elif level == "rel":
                 q = _profile(T, None)
-                if q.sweep is not p.sweep or q.peaks != rel_peaks:
+                if q.sweep is not p.sweep or q.peaks_above(-math.inf) != rel_peaks:
                     wrong.append(i)
                 got = []
             else:

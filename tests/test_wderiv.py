@@ -267,6 +267,28 @@ def test_inf_derivative_lower_envelope():
         assert abs(d_at_worst - value) < 1e-5 * scale
 
 
+def _golden_min(f, a, b, width, seed):
+    """Golden-section minimization of f on [a, b] down to bracket
+    ``width``: the least of ``seed`` (a known value) and the evaluated
+    values."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    best = seed
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while True:
+        best = min(best, fc, fd)
+        if b - a <= width:
+            return best
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+
+
 def _golden_min_derivative(T, S) -> float:
     """min over theta of omega_derivative: a 64-angle scan, then golden
     section over the best scan cell."""
@@ -274,14 +296,9 @@ def _golden_min_derivative(T, S) -> float:
     thetas = [k * h for k in range(64)]
     vals = [omega_derivative(T, S, t).value for t in thetas]
     k = int(np.argmin(vals))
-    _, fx = numrange._golden_max(
-        lambda t: -omega_derivative(T, S, t).value,
-        thetas[k] - h,
-        thetas[k] + h,
-        1e-7,
-        (thetas[k], -vals[k]),
+    return _golden_min(
+        lambda t: omega_derivative(T, S, t).value, thetas[k] - h, thetas[k] + h, 1e-7, vals[k]
     )
-    return -fx
 
 
 def test_inf_derivative_is_exact_on_square_zero_bases():
@@ -407,7 +424,7 @@ def test_lockstep_quotient_limits_are_the_one_angle_limits():
     for T, S in _limit_pairs():
         _, worst = inf_derivative(T, S)
         T, S, _, _ = wderiv._unit_pair(T, S)
-        tol = 1e-8 * numrange._rel_profile(T).lip * numrange._rel_profile(S).lip
+        tol = 1e-8 * numrange._profile(T, None).lip * numrange._profile(S, None).lip
         for thetas in ((worst, (worst + 2.0) % (2 * math.pi)), (0.3, 2.3), (5.0, 0.5)):
             alone = [wderiv._quotient_limits(T, S, (t,), tol)[0] for t in thetas]
             assert repr(wderiv._quotient_limits(T, S, thetas, tol)) == repr(alone)
@@ -491,6 +508,18 @@ def test_min_epsilon_searches_each_peak_of_a_window_run():
     # its seed, 2.1e-7 below omega(T + lam S), so the quotient limit read
     # -41.9 against an active-set support of -0.243 and all three calls
     # raised ConvergenceError
+    T, S, U, rot = _validate_9192_pair80()
+    Uh = U.conj().T
+    estar = 0.25127088
+    for pair in ((T, S), (U @ T @ Uh, U @ S @ Uh), (T, rot * S)):
+        assert abs(min_epsilon(*pair) - estar) <= 1e-7
+    for eps in (0.2, 0.3, 0.6, 0.9):
+        assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal == (eps > estar)
+
+
+def _validate_9192_pair80():
+    """(T, S, U, rot) of pair 80 of the validate benchmark's seed-9192
+    pool, drawn in its order."""
     gen = oracle.generators(9192)
     rng = np.random.default_rng(9192)
     for i in range(80):
@@ -498,12 +527,25 @@ def test_min_epsilon_searches_each_peak_of_a_window_run():
         T, S, U = gen.matrix(n), gen.matrix(n), gen.unitary(n)
         rot = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         rng.integers(2**31)
-    Uh = U.conj().T
-    estar = 0.25127088
-    for pair in ((T, S), (U @ T @ Uh, U @ S @ Uh), (T, rot * S)):
-        assert abs(min_epsilon(*pair) - estar) <= 1e-7
-    for eps in (0.2, 0.3, 0.6, 0.9):
-        assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal == (eps > estar)
+    return T, S, U, rot
+
+
+def test_radius_near_never_reads_below_a_dense_sweep_on_pair80():
+    # the direct scan's nodes of pair 80 (n = 3; T has two peaks 2e-4
+    # apart in value) at rbar and 2 rbar, on 64 angles, and at 4 rbar and
+    # 8 rbar, where some window pieces hold a peak although their end
+    # slopes do not straddle zero: the re-split on the grid's slopes must
+    # find it, as a 65,536-angle sweep of each M does
+    T, S, _, _ = wderiv._unit_pair(*_validate_9192_pair80()[:2])
+    gauge = _Gauge(T, S, "omega")
+    pT = gauge.profT
+    rbar = math.sqrt(DECISION_TOL * gauge.norm**2) / (4.0 * gauge.gS)
+    thetas = np.arange(64) * (2.0 * math.pi / 64)
+    for r in (rbar, 2.0 * rbar, 4.0 * rbar, 8.0 * rbar):
+        Ms = T + (r * np.exp(1j * thetas))[:, None, None] * S
+        w, _ = numrange._radius_near(pT, Ms, r * gauge.gS, gauge.norm + r * gauge.lipS, 1e-7)
+        dense = [numrange._sweep_extremes(M, 65536)[1].max() for M in Ms]
+        assert (w >= np.array(dense) - 4.0 * pT.sweep.rho).all(), r
 
 
 def test_wide_windows_leave_t_sweep_unsolved(monkeypatch):
@@ -740,23 +782,23 @@ def test_direct_decider_refines_every_peak_of_a_kept_run(monkeypatch):
     M = T + r * np.exp(1j * th) * S
     E = np.exp(2j * np.pi * np.arange(65536) / 65536)[:, None, None] * M[None]
     dense = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))[:, -1].max()
-    assert dense**2 - 1e-9 <= gauge.acc_sq(th, r) <= dense**2 + 2e-8
-    # each ray search is a golden-section search of the convex F to a
-    # bracket of 1e-9 r_max, 46 evaluations; the scan's micro nodes never
-    # go through acc_sq
+    assert dense**2 - 1e-9 <= gauge.micro_batch(np.array([th]), r)[0] <= dense**2 + 2e-8
+    # each ray search is a zeroin on the slope of the convex F to a
+    # bracket of 1e-9 r_max; the scan's micro nodes never go through
+    # ray_point
     per_ray: dict[float, int] = {}
-    acc_sq = _Gauge.acc_sq
+    ray_point = _Gauge.ray_point
 
     def counted(self, theta, r):
         per_ray[theta] = per_ray.get(theta, 0) + 1
-        return acc_sq(self, theta, r)
+        return ray_point(self, theta, r)
 
-    monkeypatch.setattr(_Gauge, "acc_sq", counted)
+    monkeypatch.setattr(_Gauge, "ray_point", counted)
     rep = is_omega_orthogonal(T, S, 0.98, method="direct")
     assert rep.orthogonal
     assert rep.margin >= 0.0
     assert per_ray
-    assert max(per_ray.values()) <= 50, per_ray
+    assert max(per_ray.values()) <= 12, per_ray
     assert is_omega_orthogonal(T, S, 0.98, method="derivative").orthogonal
 
 
@@ -778,14 +820,45 @@ def test_micro_batch_matches_per_angle_acc_sq(scale):
         assert wide == (base == "disk")
         thetas = np.arange(64) * (2.0 * math.pi / 64)
         got = gauge.micro_batch(thetas, r)
-        ref = [gauge.acc_sq(float(th), r) for th in thetas]
+        ref = [gauge.micro_batch(np.array([th]), r)[0] for th in thetas]
         assert got.tolist() == ref
+        # the ray searches' evaluator reads the same values
+        assert [gauge.ray_point(float(th), r)[0] for th in thetas] == ref
+
+
+@pytest.mark.parametrize("kind", ["omega", "sigma"])
+def test_ray_slope_matches_a_centred_difference(kind):
+    # the slope that the ray searches follow: d g^2 / dr from a top
+    # eigenvector at M's optimum (its peak angle in the radius gauge)
+    # against a centred difference of g^2 on random rays, n = 2..6; where
+    # the forward and backward differences disagree, the ray is at a kink
+    # of g^2 and is skipped. A wrong sign or rotation of e^{i(phi + theta)}
+    # would be off by about ||T|| ||S||
+    gen = oracle.generators(321)
+    rng = np.random.default_rng(321)
+    smooth = 0
+    for i in range(60):
+        n = 2 + i % 5
+        T, S, _, _ = wderiv._unit_pair(gen.matrix(n), gen.matrix(n))
+        gauge = _Gauge(T, S, kind)
+        unit = gauge.norm * _omega(S) if kind == "omega" else gauge.norm * gauge.gS
+        r_max = 2.0 * gauge.gT / gauge.gS
+        th = float(rng.uniform(0.0, 2.0 * math.pi))
+        r = float(r_max * 10.0 ** rng.uniform(-4.0, 0.0))
+        d = 1e-6 * r_max
+        lo, mid, hi = (float(gauge.micro_batch(np.array([th]), x)[0]) for x in (r - d, r, r + d))
+        if abs((hi - mid) - (mid - lo)) / d > 1e-4 * unit:
+            continue
+        smooth += 1
+        slope = gauge.ray_point(th, r)[1]
+        assert abs(slope - (hi - lo) / (2.0 * d)) <= 1e-6 * unit, (i, n, th, r)
+    assert smooth >= 50
 
 
 def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
     # the scan's nodes take rbar and 2 rbar in one micro_batch call, whose
     # window (at the larger radius) holds the smaller one's: each value is
-    # the accurate g^2 of acc_sq at its own radius
+    # the accurate g^2 of micro_batch at one angle and its own radius
     gen = oracle.generators(78)
     for base, n in (("disk", 2), ("generic", 2), ("generic", 3)):
         T = gen.nilpotent_rank_one(n) if base == "disk" else gen.matrix(n)
@@ -796,7 +869,7 @@ def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
             r = math.sqrt(DECISION_TOL * gauge.norm**2) / (4.0 * gauge.gS)
             thetas = np.arange(16) * (2.0 * math.pi / 16)
             got = gauge.micro_batch(np.tile(thetas, 2), np.repeat([r, 2.0 * r], 16))
-            ref = [gauge.acc_sq(float(t), rr) for rr in (r, 2.0 * r) for t in thetas]
+            ref = [gauge.micro_batch(np.array([t]), rr)[0] for rr in (r, 2.0 * r) for t in thetas]
             assert np.abs(got - ref).max() <= 1e-13 * gauge.norm**2
     calls = []
     micro = _Gauge.micro_batch
@@ -807,8 +880,9 @@ def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
 
     monkeypatch.setattr(_Gauge, "micro_batch", counted)
     assert is_bj_orthogonal(T, S, 0.5, "direct") == is_bj_orthogonal(T, S, 0.5)
-    # the 64 base nodes at two radii, then one call per bisected node
-    assert calls[0] == 128 and set(calls[1:]) <= {1, 2}
+    # the 64 base nodes at two radii, then one call per bisected node (the
+    # ray searches take `ray_point`)
+    assert calls[0] == 128 and set(calls[1:]) <= {2}
 
 
 def _chain_hull(P):
@@ -855,8 +929,9 @@ def test_hull_is_the_monotone_chain():
 
 
 def test_acc_sq_never_misses_a_dense_sweep_peak():
-    # acc_sq takes T's narrow window at micro radii and a full sweep of
-    # T + lam S otherwise; either way it must reach the radius a dense
+    # the accurate g^2 at one point (micro_batch at one angle) takes T's
+    # narrow window at micro radii and a full sweep of T + lam S
+    # otherwise; either way it must reach the radius a dense
     # 4096-angle sweep of T + lam S finds, over the decider's whole
     # range [r_lo, r_max] of |lam|
     gen = oracle.generators(2024)
@@ -876,7 +951,7 @@ def test_acc_sq_never_misses_a_dense_sweep_peak():
         E = np.exp(1j * phis)[:, None, None] * M[None]
         w = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
         dense = max(w[:, -1].max(), -w[:, 0].min())
-        assert gauge.acc_sq(th, r) >= dense**2 - 1e-9, (i, n, th, r)
+        assert gauge.micro_batch(np.array([th]), r)[0] >= dense**2 - 1e-9, (i, n, th, r)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -965,16 +1040,17 @@ def test_worked_pair_at_any_scale(c):
 
 
 
-def test_flat_square_zero_sweeps_take_no_golden_search(monkeypatch):
+def test_flat_square_zero_sweeps_take_no_resplit(monkeypatch):
     # the first 40 `ortho-disk` instances of seed 1: a square-zero T has a
     # disk for its range, so its sweep is flat within 2 rho and keeps its
     # grid maximum alone; a spread test of 4 n u ||T|| missed some of them
-    # and refined their rounding noise by golden section
+    # and refined their rounding noise, brackets whose end slopes do not
+    # change sign, which `_refine_peaks` re-splits
     for name in ("_PROFILE_CACHE", "_SWEEP_CACHE"):
         monkeypatch.setattr(numrange, name, numrange._LRU(1024))
     monkeypatch.setattr(wderiv, "_INF_CACHE", wderiv._LRU(512))
-    golden, golden_max = [], numrange._golden_max
-    monkeypatch.setattr(numrange, "_golden_max", lambda *a: golden.append(1) or golden_max(*a))
+    resplits, resplit = [], numrange._resplit
+    monkeypatch.setattr(numrange, "_resplit", lambda *a: resplits.append(1) or resplit(*a))
     gen = oracle.generators(1)
     rng = np.random.default_rng(1)
     for i in range(40):
@@ -986,4 +1062,4 @@ def test_flat_square_zero_sweeps_take_no_golden_search(monkeypatch):
         min_epsilon(T, S)
         is_omega_orthogonal(T, S, eps, "derivative")
         is_omega_orthogonal(T, S, eps, "direct")
-    assert len(golden) == 0
+    assert len(resplits) == 0
