@@ -82,12 +82,17 @@ class _LRU:
                 self._data.move_to_end(key)
             return hit
 
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.cap:
-                self._data.popitem(last=False)
+    def get_or(self, key, make):
+        """The value at ``key``; on a miss, ``make()``, stored there."""
+        hit = self.get(key)
+        if hit is None:
+            hit = make()
+            with self._lock:
+                self._data[key] = hit
+                self._data.move_to_end(key)
+                while len(self._data) > self.cap:
+                    self._data.popitem(last=False)
+        return hit
 
 
 def as_matrix(obj) -> np.ndarray:

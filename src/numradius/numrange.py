@@ -946,12 +946,10 @@ _SWEEP_CACHE = _LRU(1024)
 def _shared(T: np.ndarray) -> tuple[_Sweep, float]:
     """T's 1024-angle sweep and ||T||, memoized on the matrix bytes alone:
     the profiles of every tol, and `crawford_number`, read this one."""
-    key = (T.tobytes(), T.shape[0])
-    hit = _SWEEP_CACHE.get(key)
-    if hit is None:
-        hit = (_Sweep(T, GRID_DEFAULT), _spectral_norm(T) if T.any() else 0.0)
-        _SWEEP_CACHE.put(key, hit)
-    return hit
+    return _SWEEP_CACHE.get_or(
+        (T.tobytes(), T.shape[0]),
+        lambda: (_Sweep(T, GRID_DEFAULT), _spectral_norm(T) if T.any() else 0.0),
+    )
 
 
 def _cached_sweep(T: np.ndarray, grid: int) -> _Sweep | None:
@@ -965,12 +963,7 @@ def _cached_sweep(T: np.ndarray, grid: int) -> _Sweep | None:
 
 def _profile(T: np.ndarray, tol: float | None = 1e-10) -> _Profile:
     """T's `_Profile` for ``tol``, memoized on (matrix bytes, tol)."""
-    key = (T.tobytes(), T.shape[0], tol)
-    hit = _PROFILE_CACHE.get(key)
-    if hit is None:
-        hit = _Profile(T, tol)
-        _PROFILE_CACHE.put(key, hit)
-    return hit
+    return _PROFILE_CACHE.get_or((T.tobytes(), T.shape[0], tol), lambda: _Profile(T, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -503,10 +503,7 @@ def inf_derivative(T, S, tol: float = 1e-8) -> tuple[float, float]:
     T, S, a, b = _unit_pair(T, S)
     tol = numrange._validate_tol(tol) / a / b
     key = (T.tobytes(), S.tobytes(), tol, T.shape[0])
-    hit = _INF_CACHE.get(key)
-    if hit is None:
-        hit = _inf_unit(T, S, tol)
-        _INF_CACHE.put(key, hit)
+    hit = _INF_CACHE.get_or(key, lambda: _inf_unit(T, S, tol))
     return a * (b * hit[0]), hit[1]
 
 
@@ -579,22 +576,29 @@ def min_epsilon(T, S) -> float:
 # times 2 g(S)^2: the bound stays valid, but flags more nodes as
 # candidates than its sizing assumes. Across rays the
 # normalized margin is Lipschitz in theta with constant
-# (g(T) + r g(S)) g(S), which fills the gaps of an adaptively bisected
-# angle grid. Radii below tau / (4 g(T) g(S)) are certified by the
-# reverse triangle inequality alone, and radii beyond 2 g(T) / g(S)
-# make F >= 0 automatically.
+# (g(T) + r g(S)) g(S), which certifies the gap between two angle nodes.
+# The scan runs level by level: level 0 is 64 equally spaced nodes, and
+# each further level holds the midpoints of the gaps the level before
+# left uncertified, in angle order, evaluated in `micro_batch` calls of
+# at most 64 nodes (both radii of a node in one call). Radii below
+# tau / (4 g(T) g(S)) are certified by the reverse triangle inequality
+# alone, and radii beyond 2 g(T) / g(S) make F >= 0 automatically.
 #
 # Violation candidates (negative normalized margin or failed strip
 # bound) are confirmed by zeroin on the slope of F along the convex ray
 # (`_Gauge.ray_point`), ended by the first F < -2 tau, before the
-# verdict is allowed to say "not orthogonal". F(r_max) >= 0 = F(0), so
+# verdict is allowed to say "not orthogonal". Each level searches its
+# nodes in order of normalized margin, up to the first that is no
+# candidate. F(r_max) >= 0 = F(0), so
 # F'(r_max) >= 0: a ray with F'(r_lo) > 0 has its minimum at r_lo, an
 # end the search evaluates first. Certification never relies on the
-# micro samples alone where they look suspicious. If the
-# bisection hits its depth cap (possible only within ~tolerance of the
-# exact orthogonality boundary, or for adversarial curvature kinks at
-# micro radii), the verdict falls back to the best accurately evaluated
-# minimum, which is also what the report carries as its margin.
+# micro samples alone where they look suspicious. The scan stops after
+# 44 levels past the base or 1,600 nodes (the last level is cut in angle
+# order), and searches at most 40 rays; these caps are reached only
+# within ~tolerance of the exact orthogonality boundary, or for
+# adversarial curvature kinks at micro radii. At a cap the verdict falls
+# back to the best accurately evaluated minimum, which is also what the
+# report carries as its margin.
 #
 # Every value of F, at the micro radii and along the ray searches
 # alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
@@ -666,9 +670,10 @@ def _scan_minimum(
     Returns (verdict, margin, theta): margin is the worst accurately
     evaluated value of F, theta the direction angle of a point attaining
     it, and the verdict is margin >= -tau, tau = DECISION_TOL ||T||^2.
-    The certificates described in the section comment guarantee no
-    deeper violation hides between the evaluated points (up to the
-    stated caps).
+    The angle nodes are bisected level by level, each level in
+    `micro_batch` calls of at most 64 nodes, until every gap is certified
+    (section comment); the certificates guarantee no deeper violation
+    hides between the evaluated points (up to the stated caps).
     """
     gauge = _Gauge(T, S, kind)
     gT, gS = gauge.gT, gauge.gS
@@ -689,26 +694,10 @@ def _scan_minimum(
             best[0], best[1] = v, th
         return v
 
-    nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
-
-    def eval_nodes(ths: list[float]) -> None:
-        k = len(ths)
-        g = gauge.micro_batch(np.array(ths * 2), np.repeat([rbar, 2.0 * rbar], k)).tolist()
-        for th, w1, w2 in zip(ths, g[:k], g[k:]):
-            f1 = F(th, rbar, w1)
-            f2 = F(th, 2.0 * rbar, w2)
-            s_plus = max((f2 - f1) / rbar, 0.0)
-            nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * s_plus)
-
-    searched: set[float] = set()
-
-    def ray_search(th: float) -> float | None:
+    def ray_search(th: float) -> float:
         """Accurate convex minimization of F over [r_lo, r_max] at theta:
         zeroin on the slope of F, ended by the first F < -2 tau (a
-        confirmed violation), at most 40 rays per scan."""
-        if th in searched or len(searched) >= 40:
-            return None
-        searched.add(th)
+        confirmed violation)."""
 
         def fg(r: float) -> tuple[float, float]:
             g2, slope = gauge.ray_point(th, r)
@@ -716,45 +705,45 @@ def _scan_minimum(
 
         return -numrange._peak_of(fg, r_lo, r_max, 1e-9 * r_max, 2.0 * tau)[1]
 
-    def candidate(th: float) -> bool:
-        mt, bb = nodes[th]
-        return mt < -0.5 * tau_m or bb < -0.5 * tau
-
-    base = (np.arange(64) * (_TWO_PI / 64.0)).tolist()
-    eval_nodes(base)
-    for th in sorted(base, key=lambda t: nodes[t][0]):
-        if not candidate(th):
+    nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
+    ths = (np.arange(64) * (_TWO_PI / 64.0)).tolist()
+    gaps: list[tuple[float, float]] = []  # the gaps that ths bisect
+    rays = 0
+    for level in range(45):  # the base, then at most 44 bisections
+        for i in range(0, len(ths), 64):
+            part = ths[i : i + 64]
+            k = len(part)
+            g = gauge.micro_batch(np.array(part * 2), np.repeat([rbar, 2.0 * rbar], k)).tolist()
+            for th, w1, w2 in zip(part, g[:k], g[k:]):
+                f1 = F(th, rbar, w1)
+                f2 = F(th, 2.0 * rbar, w2)
+                nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * max((f2 - f1) / rbar, 0.0))
+        for th in sorted(ths, key=lambda t: nodes[t][0]):
+            mt, bb = nodes[th]
+            if rays == 40 or not (mt < -0.5 * tau_m or bb < -0.5 * tau):
+                break
+            rays += 1
+            got = ray_search(th)
+            if got < -tau:
+                return False, got, th
+        if level == 0:
+            nodes[_TWO_PI] = nodes[0.0]
+            spans = list(zip(ths, ths[1:] + [_TWO_PI]))
+        else:
+            spans = [s for (a, b), m in zip(gaps, ths) for s in ((a, m), (m, b))]
+        gaps = [
+            (a, b)
+            for a, b in spans
+            if not (
+                min(nodes[a][0], nodes[b][0]) - 0.5 * L_q * (b - a) >= -0.5 * tau_m
+                and nodes[a][1] >= -0.5 * tau
+                and nodes[b][1] >= -0.5 * tau
+            )
+        ][: 1600 - len(nodes)]
+        ths = [0.5 * (a + b) for a, b in gaps]
+        if not ths:
             break
-        got = ray_search(th)
-        if got is not None and got < -tau:
-            return False, got, th
-
-    gaps: list[tuple[float, float, int]] = [
-        (base[j], base[j + 1] if j + 1 < 64 else _TWO_PI, 0) for j in range(64)
-    ]
-    nodes[_TWO_PI] = nodes[0.0]
-    while gaps:
-        a, b, d = gaps.pop()
-        mt_a, b_a = nodes[a]
-        mt_b, b_b = nodes[b]
-        delta = b - a
-        if (
-            min(mt_a, mt_b) - 0.5 * L_q * delta >= -0.5 * tau_m
-            and b_a >= -0.5 * tau
-            and b_b >= -0.5 * tau
-        ):
-            continue
-        if d >= 44 or len(nodes) >= 1600:
-            continue  # cap: verdict falls back to the evaluated minimum
-        m = 0.5 * (a + b)
-        eval_nodes([m])
-        if candidate(m):
-            got = ray_search(m)
-            if got is not None and got < -tau:
-                return False, got, m
-        gaps.append((a, m, d + 1))
-        gaps.append((m, b, d + 1))
-
+    # no gap left, or a cap: the verdict falls back to the evaluated minimum
     v, th = best
     return v >= -tau, v, th
 

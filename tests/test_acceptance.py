@@ -263,7 +263,7 @@ def test_bj_near_tie_of_the_top_singular_values():
         ok_all &= _check(ok, f"near tie delta={delta:g}: closed {closed}, direct {direct}, "
                              f"deepest F = {F / 1e-9:.3g} DECISION_TOL ||T||^2")
     # delta = 1e-6: the closed form finds the violation (about 500 times the
-    # scan's band); test_bj_scan_misses_past_its_caps holds the scan's answer
+    # scan's band); test_bj_scan_decides_both_pairs holds the scan's answer
     T, S = _near_tie_pair(1e-6)
     F = _bj_witness(T, S, 0.25, [math.pi], np.geomspace(1e-8, 1e-4, 201))
     ok_all &= _check(
@@ -273,7 +273,7 @@ def test_bj_near_tie_of_the_top_singular_values():
     assert ok_all
 
 
-def _scan_miss_pair():
+def _bj_draw_43():
     """Draw 43 of `_bj_pair` with seed 12 (Hermitian T, n = 4), at
     eps = eps*_BJ - 2e-4."""
     gen = oracle.generators(12)
@@ -282,9 +282,9 @@ def _scan_miss_pair():
     return T, S, min_epsilon_bj(T, S) - 2e-4
 
 
-def test_bj_closed_form_is_right_where_the_scan_gives_up():
+def test_bj_closed_form_finds_the_violation_of_draw_43():
     # the worst direction from the SVD alone: T v = ||T|| u, theta = pi - arg(u* S v)
-    T, S, eps = _scan_miss_pair()
+    T, S, eps = _bj_draw_43()
     U, _, Vh = np.linalg.svd(T)
     theta = math.pi - np.angle(np.vdot(U[:, 0], S @ Vh[0].conj()))
     r = np.geomspace(1e-6, 1e-2, 201) * np.linalg.norm(T, 2) / np.linalg.norm(S, 2)
@@ -295,14 +295,50 @@ def test_bj_closed_form_is_right_where_the_scan_gives_up():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="the direct scan stops at its node and ray caps "
-                                       "and falls back to the best point it evaluated")
-def test_bj_scan_misses_past_its_caps():
+def test_bj_scan_decides_both_pairs():
     # both pairs hold violations of more than 10 DECISION_TOL ||T||^2 (the
-    # two tests above); the scan says "orthogonal"
-    T, S, eps = _scan_miss_pair()
+    # two tests above); the scan finds each within its node and ray caps
+    T, S, eps = _bj_draw_43()
     assert not is_bj_orthogonal(T, S, eps, method="direct")
     assert not is_bj_orthogonal(*_near_tie_pair(1e-6), 0.25, method="direct")
+
+
+def test_direct_route_agreement_near_the_threshold():
+    # at eps* - 2e-4 the deepest violations are some tens of DECISION_TOL
+    # ||T||^2 (a dense lambda grid reads -76 and -34 on seed-12 BJ draws 43
+    # and 71), at eps* + 2e-4 there are none; the scan has to find them
+    # within its caps. BJ: the closed form and the side of eps*_BJ on 200
+    # draws of two seeds; radius gauge: the side of eps* (the derivative
+    # route) on generic pairs, n = 2..5
+    checked = 0
+    missed = []
+    for seed in (12, 612):
+        gen = oracle.generators(seed)
+        for k in range(200):
+            T, S = _bj_pair(gen, k)
+            estar = min_epsilon_bj(T, S)
+            for eps in (estar - 2e-4, estar + 2e-4):
+                if not 0.0 <= eps < 1.0:
+                    continue
+                checked += 1
+                closed = is_bj_orthogonal(T, S, eps)
+                if not is_bj_orthogonal(T, S, eps, method="direct") == closed == (eps > estar):
+                    missed.append(f"BJ seed {seed} draw {k} at eps*{eps - estar:+.0e}")
+    gen = oracle.generators(4040)
+    for k in range(120):
+        n = 2 + k % 4
+        T, S = gen.matrix(n), gen.matrix(n)
+        estar = min_epsilon(T, S)
+        for eps in (estar - 2e-4, estar + 2e-4):
+            if not 0.0 <= eps < 1.0:
+                continue
+            checked += 1
+            if is_omega_orthogonal(T, S, eps, method="direct").orthogonal != (eps > estar):
+                missed.append(f"omega pair {k} at eps*{eps - estar:+.0e}")
+    assert _check(
+        checked >= 800 and not missed,
+        f"direct routes at eps* +- 2e-4: {checked - len(missed)}/{checked} verdicts; {missed}",
+    )
 
 
 # ---------------------------------------------------------------------------

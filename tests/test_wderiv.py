@@ -788,17 +788,27 @@ def test_direct_decider_refines_every_peak_of_a_kept_run(monkeypatch):
     # ray_point
     per_ray: dict[float, int] = {}
     ray_point = _Gauge.ray_point
+    batches = []
+    micro = _Gauge.micro_batch
 
     def counted(self, theta, r):
         per_ray[theta] = per_ray.get(theta, 0) + 1
         return ray_point(self, theta, r)
 
+    def counted_batch(self, thetas, r):
+        batches.append(np.size(thetas))
+        return micro(self, thetas, r)
+
     monkeypatch.setattr(_Gauge, "ray_point", counted)
+    monkeypatch.setattr(_Gauge, "micro_batch", counted_batch)
     rep = is_omega_orthogonal(T, S, 0.98, method="direct")
     assert rep.orthogonal
     assert rep.margin >= 0.0
     assert per_ray
     assert max(per_ray.values()) <= 12, per_ray
+    # the scan ends at its node cap; level by level that takes a few dozen
+    # calls of at most 128 matrices (one call per node would take 1,536)
+    assert len(batches) <= 50 and max(batches) <= 128, batches
     assert is_omega_orthogonal(T, S, 0.98, method="derivative").orthogonal
 
 
@@ -880,9 +890,9 @@ def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
 
     monkeypatch.setattr(_Gauge, "micro_batch", counted)
     assert is_bj_orthogonal(T, S, 0.5, "direct") == is_bj_orthogonal(T, S, 0.5)
-    # the 64 base nodes at two radii, then one call per bisected node (the
-    # ray searches take `ray_point`)
-    assert calls[0] == 128 and set(calls[1:]) <= {2}
+    # each level of the scan in calls of at most 64 nodes at two radii,
+    # the 64 base nodes first (the ray searches take `ray_point`)
+    assert calls[0] == 128 and all(c % 2 == 0 and c <= 128 for c in calls)
 
 
 def _chain_hull(P):
