@@ -5,7 +5,8 @@ Matrix arguments are terse literals like ``[1,2i;0,-1]`` (rows split by
 row form ``[[1,2i];[0,-1]]`` is accepted too) or JSON files of the shape
 ``{"rows": n, "cols": n, "data": [[re, im], ...]}`` in row-major order.
 
-Exit codes: 0 success, 2 parse/usage error, 1 numerical non-convergence.
+Exit codes: 0 success, 2 parse/usage error, 1 numerical non-convergence
+or a failing `paper-check` row.
 All numeric output uses 12 significant digits.
 """
 
@@ -181,19 +182,30 @@ def format_matrix(M) -> str:
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Load {"rows": r, "cols": c, "data": [[re, im], ...]} (row-major)."""
+    """Load {"rows": r, "cols": c, "data": [[re, im], ...]} (row-major).
+    Content of any other shape raises ValueError (exit 2 in the CLI)."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+    except (KeyError, TypeError):
+        raise ValueError(f'{path}: expected integer "rows" and "cols", and "data"') from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: rows and cols must be positive")
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} data pairs, got {len(data)}")
     flat = []
     for k, pair in enumerate(data):
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{path}: data[{k}] is not a [re, im] pair")
-        flat.append(complex(float(pair[0]), float(pair[1])))
+        try:
+            flat.append(complex(float(pair[0]), float(pair[1])))
+        except TypeError:
+            raise ValueError(f"{path}: data[{k}] holds a non-number") from None
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 

@@ -19,9 +19,10 @@ and multiplies its answer back. The private kernels see unit-scaled
 input only, so no square they take (T*T, omega^2, a 2x2 discriminant)
 under- or overflows at any scale.
 
-Eigenvalues come from LAPACK via numpy, except 2x2 and 3x3 extremes, which
-`_eig2` and `_eig3_rot` take in closed form (LAPACK where a 3x3 gap is
-small); the private kernels assume validated, Hermitian, unit-scaled input.
+Eigenvalues come from LAPACK via numpy, except the 2x2 and 3x3 extremes of
+H_theta(T), which `_eig2_rot` and `_eig3_rot` take in closed form (LAPACK
+where a 3x3 gap is small); the private kernels assume validated, Hermitian,
+unit-scaled input.
 """
 
 from __future__ import annotations
@@ -292,14 +293,8 @@ def _eig3_rot(T, zr, zi):
 
 
 def _extremes(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest, largest) eigenvalues along a (..., n, n) Hermitian stack:
-    for 2x2 the closed form `_eig2`, for 3x3 `_eig3_rot` at z = 1 (LAPACK
-    where its guard says), else LAPACK."""
-    if H.shape[-1] == 2:
-        a, d, b = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1]
-        return _eig2(0.5 * (a + d), 0.5 * (a - d), b.real, b.imag)
-    if H.shape[-1] == 3:
-        return _eig3_rot(H, 1.0, 0.0)
+    """(smallest, largest) eigenvalues along a (..., n, n) Hermitian stack,
+    by LAPACK (`numrange._extremes_at` sends n = 2 and 3 to closed forms)."""
     w = np.linalg.eigvalsh(H)
     return w[..., 0], w[..., -1]
 

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numrange
-from .linalg import _LRU, DimensionError, _as_unit, _extremes, _hermitian_rot, _spectral_norm
+from .linalg import _LRU, DimensionError, _as_unit, _hermitian_rot, _spectral_norm
 
 __all__ = [
     "DerivativeResult",
@@ -186,7 +186,7 @@ def _quotient_limits(
     """The quotient limits at the angles ``thetas``, one `_schedule` each,
     in lockstep: each round is one `numrange._radius_near` call over the
     next radii of every open schedule, with the window of its largest r and
-    the peak-search width of its smallest (as in `_Gauge.micro_batch`).
+    the peak-search width of its smallest.
 
     Every schedule starts at r_s = min(r0, max(r0 2^-24, r_wall)),
     r0 = omega(T) / 2 omega(S): the window at r0 is wide and costs a
@@ -563,33 +563,35 @@ def min_epsilon(T, S) -> float:
 # normalized margin F(theta, r) / (2r) is nondecreasing in r. One
 # accurate sample at a micro radius rbar therefore bounds the whole
 # tail: F(theta, r) >= (r / rbar) F(theta, rbar) for r >= rbar. The
-# strip r < rbar is covered by convexity alone: the secant slope
-# s = (F(2 rbar) - F(rbar)) / rbar dominates the left derivative at rbar,
-# so F(r) >= F(rbar) - (rbar - r) * max(s, 0) there (the strip bound).
-# What it loses grows with the curvature of F on [0, 2 rbar]; rbar is
-# sized so that the loss, ~4 g(S)^2 rbar^2 = tau / 4 if d2F/dr2 <= 2 g(S)^2,
-# stays under half the decision tolerance. That curvature bound holds
-# for each member of the max of squares of r-affine functions that g(M)^2
-# is, not for the max: its maximizer moves with r, and the max can curve
-# more. In the radius gauge, on four pairs whose scans end at their caps,
-# (F(2 rbar) - 2 F(rbar)) / (2 rbar^2) measured at the nodes reads 2.0-2.7
-# times 2 g(S)^2: the bound stays valid, but flags more nodes as
-# candidates than its sizing assumes. Across rays the
-# normalized margin is Lipschitz in theta with constant
+# strip r < rbar is bounded by F's tangent at rbar, from the same
+# evaluation and with no curvature assumption. On M_r = T + r e^{i theta} S
+# take the top vector of g(M_rbar). In the radius gauge, for x a top
+# eigenvector of H_phi(M_rbar) at its peak angle phi, a(r) =
+# <H_phi(M_r) x, x> is affine in r and |a(r)| <= omega(M_r), so
+# omega(M_r)^2 >= a(r)^2 >= a(rbar)^2 + 2 a(rbar) a' (r - rbar). In the
+# spectral-norm gauge ||M_r v||^2, v a top eigenvector of M_rbar* M_rbar,
+# is a convex quadratic in r below ||M_r||^2. So with s the slope of g^2
+# at rbar that `micro_batch` returns,
+#     F(r) >= F(rbar) - rbar max(s + 2 eps g(T) g(S), 0)  on [0, rbar]
+# (the strip bound), up to the rounding between the evaluated g^2 and the
+# vector's quotient: the peak search's tie (1e-13 omega^2) plus about
+# n u ||M||, under 1e-3 tau. At r = 0 the tangent loses g(S)^2 rbar^2 =
+# tau / 16 where d2F/dr2 = 2 g(S)^2, well under the tau / 2 that flags a
+# node.
+# Across rays the normalized margin is Lipschitz in theta with constant
 # (g(T) + r g(S)) g(S), which certifies the gap between two angle nodes.
 # The scan runs level by level: level 0 is 64 equally spaced nodes, and
 # each further level holds the midpoints of the gaps the level before
 # left uncertified, in angle order, evaluated in `micro_batch` calls of
-# at most 64 nodes (both radii of a node in one call). Radii below
-# tau / (4 g(T) g(S)) are certified by the reverse triangle inequality
-# alone, and radii beyond 2 g(T) / g(S) make F >= 0 automatically.
+# at most 64 nodes, one point each. Radii below tau / (4 g(T) g(S)) are
+# certified by the reverse triangle inequality alone, and radii beyond
+# 2 g(T) / g(S) make F >= 0 automatically.
 #
 # Violation candidates (negative normalized margin or failed strip
-# bound) are confirmed by zeroin on the slope of F along the convex ray
-# (`_Gauge.ray_point`), ended by the first F < -2 tau, before the
-# verdict is allowed to say "not orthogonal". Each level searches its
-# nodes in order of normalized margin, up to the first that is no
-# candidate. F(r_max) >= 0 = F(0), so
+# bound) are confirmed by zeroin on the slope of F along the convex ray,
+# ended by the first F < -2 tau, before the verdict is allowed to say
+# "not orthogonal". Each level searches its nodes in order of normalized
+# margin, up to the first that is no candidate. F(r_max) >= 0 = F(0), so
 # F'(r_max) >= 0: a ray with F'(r_lo) > 0 has its minimum at r_lo, an
 # end the search evaluates first. Certification never relies on the
 # micro samples alone where they look suspicious. The scan stops after
@@ -600,10 +602,11 @@ def min_epsilon(T, S) -> float:
 # back to the best accurately evaluated minimum, which is also what the
 # report carries as its margin.
 #
-# Every value of F, at the micro radii and along the ray searches
+# Every value of F and its slope, at the nodes and along the ray searches
 # alike, comes from one evaluator, `_Gauge.micro_batch`: the radius
-# gauge runs `numrange._radius_near` (the kernel of the quotient limit too) with
-# one fixed peak-search width, so the nodes and the confirmations agree.
+# gauge runs `numrange._radius_near` (the kernel of the quotient limit
+# too) with one fixed peak-search width, so the nodes and the
+# confirmations agree.
 
 
 class _Gauge:
@@ -624,42 +627,30 @@ class _Gauge:
             self.gT = self.norm = _spectral_norm(T)
             self.gS = _spectral_norm(S)
 
-    def micro_batch(self, thetas: np.ndarray, r) -> np.ndarray:
-        """Accurate g^2 at every point (thetas[k], r[k]) (r may be one
-        radius for all).
+    def micro_batch(self, thetas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """(g^2, its derivative in r) at every point (thetas[k], r).
 
-        The spectral norm comes from one batched Gram eigensolve; the
-        radius from one `numrange._radius_near` call at the largest r,
-        whose window holds those of the smaller radii, with peak searches
-        down to brackets of 1e-7.
+        The derivative is 2 omega(M) Re(e^{i (phi + theta)} <S x, x>) for a
+        top eigenvector x of H_phi(M) at M's peak angle phi (radius gauge;
+        the radius from one `numrange._radius_near` call with peak searches
+        down to brackets of 1e-7), or 2 Re(e^{i theta} <S v, M v>) for a top
+        eigenvector v of M* M (one batched Gram ``eigh``). A point's values
+        are its values alone, bit for bit.
         """
-        return self._batch(thetas, r)[0]
-
-    def _batch(self, thetas: np.ndarray, r):
-        """(`micro_batch`'s g^2, the matrices, their peak angles or None)."""
-        Ms = self.T + (r * np.exp(1j * thetas))[:, None, None] * self.S
+        z = np.exp(1j * thetas)
+        Ms = self.T + (r * z)[:, None, None] * self.S
         if self.kind == "sigma":
-            G = np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms)
-            return np.maximum(_extremes(G)[1], 0.0), Ms, None
-        top = float(np.max(r))
-        w, phi = numrange._radius_near(self.profT, Ms, top * self.gS, self.norm + top * self.lipS, 1e-7)
-        return np.maximum(w, 0.0) ** 2, Ms, phi
-
-    def ray_point(self, theta: float, r: float) -> tuple[float, float]:
-        """`micro_batch`'s g^2 at the point (theta, r) and its derivative in
-        r (Danskin): 2 omega(M) Re(e^{i (phi + theta)} <S x, x>) for a top
-        eigenvector x of H_phi(M) at M's peak angle phi (radius gauge), or
-        2 Re(e^{i theta} <S v, M v>) for a top eigenvector v of M* M."""
-        (g2,), (M,), phi = self._batch(np.array([theta]), r)
-        if phi is None:
-            y = np.linalg.eigh(M.conj().T @ M)[1][:, -1]
-            left = M @ y
+            w, V = np.linalg.eigh(np.matmul(np.conj(np.swapaxes(Ms, 1, 2)), Ms))
+            y = V[..., -1]
+            g2, g, c, x = np.maximum(w[:, -1], 0.0), 1.0, z, (Ms * y[:, None, :]).sum(-1)
         else:
-            z = cmath.exp(1j * phi[0])
-            y = np.linalg.eigh(_hermitian_rot(M, z))[1][:, -1]
-            left = (math.sqrt(g2) * z.conjugate()) * y
-        # both are 2 Re(e^{i theta} <S y, left>)
-        return float(g2), 2.0 * float((cmath.exp(1j * theta) * np.vdot(left, self.S @ y)).real)
+            g, phi = numrange._radius_near(self.profT, Ms, r * self.gS, self.norm + r * self.lipS, 1e-7)
+            g = np.maximum(g, 0.0)
+            y = x = np.linalg.eigh(_hermitian_rot(Ms, np.exp(1j * phi)))[1][..., -1]
+            g2, c = g * g, np.exp(1j * (thetas + phi))
+        # both slopes are 2 g Re(c <S y, x>), summed along rows: einsum's
+        # sums would change with the number of points
+        return g2, 2.0 * g * (c * (x.conj() * (self.S * y[:, None, :]).sum(-1)).sum(-1)).real
 
 
 def _scan_minimum(
@@ -672,8 +663,10 @@ def _scan_minimum(
     it, and the verdict is margin >= -tau, tau = DECISION_TOL ||T||^2.
     The angle nodes are bisected level by level, each level in
     `micro_batch` calls of at most 64 nodes, until every gap is certified
-    (section comment); the certificates guarantee no deeper violation
-    hides between the evaluated points (up to the stated caps).
+    (section comment). A node is one evaluation at rbar: its value gives
+    the normalized margin, its slope the tangent strip bound. The
+    certificates guarantee no deeper violation hides between the
+    evaluated points (up to the stated caps).
     """
     gauge = _Gauge(T, S, kind)
     gT, gS = gauge.gT, gauge.gS
@@ -700,8 +693,8 @@ def _scan_minimum(
         confirmed violation)."""
 
         def fg(r: float) -> tuple[float, float]:
-            g2, slope = gauge.ray_point(th, r)
-            return -F(th, r, g2), -(slope + off)
+            (g2,), (slope,) = gauge.micro_batch(np.array([th]), r)
+            return -F(th, r, float(g2)), -(float(slope) + off)
 
         return -numrange._peak_of(fg, r_lo, r_max, 1e-9 * r_max, 2.0 * tau)[1]
 
@@ -712,12 +705,10 @@ def _scan_minimum(
     for level in range(45):  # the base, then at most 44 bisections
         for i in range(0, len(ths), 64):
             part = ths[i : i + 64]
-            k = len(part)
-            g = gauge.micro_batch(np.array(part * 2), np.repeat([rbar, 2.0 * rbar], k)).tolist()
-            for th, w1, w2 in zip(part, g[:k], g[k:]):
-                f1 = F(th, rbar, w1)
-                f2 = F(th, 2.0 * rbar, w2)
-                nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * max((f2 - f1) / rbar, 0.0))
+            g2, slope = gauge.micro_batch(np.array(part), rbar)
+            for th, w, s in zip(part, g2.tolist(), slope.tolist()):
+                f1 = F(th, rbar, w)
+                nodes[th] = (f1 / (2.0 * rbar), f1 - rbar * max(s + off, 0.0))
         for th in sorted(ths, key=lambda t: nodes[t][0]):
             mt, bb = nodes[th]
             if rays == 40 or not (mt < -0.5 * tau_m or bb < -0.5 * tau):

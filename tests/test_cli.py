@@ -176,6 +176,31 @@ def test_load_matrix_file_rejects_bad_shapes(tmp_path, payload, message):
         load_matrix_file(str(p))
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([[1, 0]], "expected a JSON object, got list"),
+        ({"rows": None, "cols": 1, "data": [[1, 0]]}, 'expected integer "rows" and "cols"'),
+        ({"cols": 1, "data": [[1, 0]]}, 'expected integer "rows" and "cols", and "data"'),
+        ({"rows": 1, "cols": 1, "data": 5}, "data must be a list of [re, im] pairs"),
+        ({"rows": 1, "cols": 1, "data": [5]}, "data[0] is not a [re, im] pair"),
+        ({"rows": 1, "cols": 1, "data": [{"re": 1, "im": 0}]}, "data[0] is not a [re, im] pair"),
+        ({"rows": 1, "cols": 1, "data": [[None, 0]]}, "data[0] holds a non-number"),
+    ],
+)
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, payload, message):
+    # each is a usage error (exit 2, "error: ..."): a TypeError traceback
+    # would exit 1, the code of numerical non-convergence
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix_file(str(p))
+    capsys.readouterr()
+    assert main(["radius", "--t-file", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 # --- subcommands, in process ------------------------------------------------------
 
 

@@ -220,9 +220,9 @@ def _eig3_stacks():
 
 
 def test_3x3_kernel_matches_constructed_and_lapack_eigenvalues(monkeypatch):
-    # the closed form of linalg._extremes at n = 3 (linalg._eig3_rot) is
-    # within 4 n u ||H|| of the constructed eigenvalues and of LAPACK's;
-    # exactly the lanes whose top or bottom gap is below p / 4 go to LAPACK
+    # the 3x3 closed form linalg._eig3_rot, at z = 1, is within 4 n u ||H||
+    # of the constructed eigenvalues and of LAPACK's; exactly the lanes
+    # whose top or bottom gap is below p / 4 go to LAPACK
     # (p = sqrt(tr((H - q I)^2) / 6)), each lane's bits are the same in a
     # stack and alone, and no lane, the zero and scalar ones included,
     # raises a RuntimeWarning (pytest turns it into an error)
@@ -236,7 +236,7 @@ def test_3x3_kernel_matches_constructed_and_lapack_eigenvalues(monkeypatch):
     for name, H, w in _eig3_stacks():
         H = H.astype(np.complex128)
         lapack = eigvalsh(H)
-        lo, hi = linalg._extremes(H)
+        lo, hi = linalg._eig3_rot(H, 1.0, 0.0)
         for ref in (lapack,) if w is None else (lapack, w):
             tol = 12.0 * u * np.abs(ref).max(axis=1)
             assert (np.abs(lo - ref[:, 0]) <= tol).all(), name
@@ -247,7 +247,7 @@ def test_3x3_kernel_matches_constructed_and_lapack_eigenvalues(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for k in range(len(H)):
             reached.clear()
-            one = linalg._extremes(H[k : k + 1])
+            one = linalg._eig3_rot(H[k : k + 1], 1.0, 0.0)
             assert (one[0][0], one[1][0]) == (lo[k], hi[k]), (name, k)
             # a lane within rounding of the guard, or a triple eigenvalue
             # up to rounding, may go either way

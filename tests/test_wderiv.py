@@ -508,7 +508,7 @@ def test_min_epsilon_searches_each_peak_of_a_window_run():
     # its seed, 2.1e-7 below omega(T + lam S), so the quotient limit read
     # -41.9 against an active-set support of -0.243 and all three calls
     # raised ConvergenceError
-    T, S, U, rot = _validate_9192_pair80()
+    T, S, U, rot = _validate_pair(9192, 80)
     Uh = U.conj().T
     estar = 0.25127088
     for pair in ((T, S), (U @ T @ Uh, U @ S @ Uh), (T, rot * S)):
@@ -517,12 +517,12 @@ def test_min_epsilon_searches_each_peak_of_a_window_run():
         assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal == (eps > estar)
 
 
-def _validate_9192_pair80():
-    """(T, S, U, rot) of pair 80 of the validate benchmark's seed-9192
-    pool, drawn in its order."""
-    gen = oracle.generators(9192)
-    rng = np.random.default_rng(9192)
-    for i in range(80):
+def _validate_pair(seed, k):
+    """(T, S, U, rot) of instance k of the validate benchmark's pool of
+    ``seed``, drawn in its order (instance 0 is its paper-check row)."""
+    gen = oracle.generators(seed)
+    rng = np.random.default_rng(seed)
+    for i in range(k):
         n = 2 + i % 3
         T, S, U = gen.matrix(n), gen.matrix(n), gen.unitary(n)
         rot = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -536,7 +536,7 @@ def test_radius_near_never_reads_below_a_dense_sweep_on_pair80():
     # 8 rbar, where some window pieces hold a peak although their end
     # slopes do not straddle zero: the re-split on the grid's slopes must
     # find it, as a 65,536-angle sweep of each M does
-    T, S, _, _ = wderiv._unit_pair(*_validate_9192_pair80()[:2])
+    T, S, _, _ = wderiv._unit_pair(*_validate_pair(9192, 80)[:2])
     gauge = _Gauge(T, S, "omega")
     pT = gauge.profT
     rbar = math.sqrt(DECISION_TOL * gauge.norm**2) / (4.0 * gauge.gS)
@@ -782,33 +782,22 @@ def test_direct_decider_refines_every_peak_of_a_kept_run(monkeypatch):
     M = T + r * np.exp(1j * th) * S
     E = np.exp(2j * np.pi * np.arange(65536) / 65536)[:, None, None] * M[None]
     dense = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))[:, -1].max()
-    assert dense**2 - 1e-9 <= gauge.micro_batch(np.array([th]), r)[0] <= dense**2 + 2e-8
-    # each ray search is a zeroin on the slope of the convex F to a
-    # bracket of 1e-9 r_max; the scan's micro nodes never go through
-    # ray_point
-    per_ray: dict[float, int] = {}
-    ray_point = _Gauge.ray_point
+    assert dense**2 - 1e-9 <= gauge.micro_batch(np.array([th]), r)[0][0] <= dense**2 + 2e-8
+    # the tangent strip bound of the 64 base nodes certifies every gap, so
+    # the scan takes one call and no ray search (a secant to 2 rbar flagged
+    # 70-92 nodes here and ended at the node cap after 27 calls)
     batches = []
     micro = _Gauge.micro_batch
-
-    def counted(self, theta, r):
-        per_ray[theta] = per_ray.get(theta, 0) + 1
-        return ray_point(self, theta, r)
 
     def counted_batch(self, thetas, r):
         batches.append(np.size(thetas))
         return micro(self, thetas, r)
 
-    monkeypatch.setattr(_Gauge, "ray_point", counted)
     monkeypatch.setattr(_Gauge, "micro_batch", counted_batch)
     rep = is_omega_orthogonal(T, S, 0.98, method="direct")
     assert rep.orthogonal
     assert rep.margin >= 0.0
-    assert per_ray
-    assert max(per_ray.values()) <= 12, per_ray
-    # the scan ends at its node cap; level by level that takes a few dozen
-    # calls of at most 128 matrices (one call per node would take 1,536)
-    assert len(batches) <= 50 and max(batches) <= 128, batches
+    assert len(batches) <= 2 and max(batches) <= 64, batches
     assert is_omega_orthogonal(T, S, 0.98, method="derivative").orthogonal
 
 
@@ -830,10 +819,11 @@ def test_micro_batch_matches_per_angle_acc_sq(scale):
         assert wide == (base == "disk")
         thetas = np.arange(64) * (2.0 * math.pi / 64)
         got = gauge.micro_batch(thetas, r)
-        ref = [gauge.micro_batch(np.array([th]), r)[0] for th in thetas]
-        assert got.tolist() == ref
-        # the ray searches' evaluator reads the same values
-        assert [gauge.ray_point(float(th), r)[0] for th in thetas] == ref
+        ref = [gauge.micro_batch(np.array([th]), r) for th in thetas]
+        # the values and slopes of a node are those the ray searches read
+        # at its one point
+        assert got[0].tolist() == [float(g[0]) for g, _ in ref]
+        assert got[1].tolist() == [float(s[0]) for _, s in ref]
 
 
 @pytest.mark.parametrize("kind", ["omega", "sigma"])
@@ -856,21 +846,20 @@ def test_ray_slope_matches_a_centred_difference(kind):
         th = float(rng.uniform(0.0, 2.0 * math.pi))
         r = float(r_max * 10.0 ** rng.uniform(-4.0, 0.0))
         d = 1e-6 * r_max
-        lo, mid, hi = (float(gauge.micro_batch(np.array([th]), x)[0]) for x in (r - d, r, r + d))
+        lo, hi = (float(gauge.micro_batch(np.array([th]), x)[0][0]) for x in (r - d, r + d))
+        (mid,), (slope,) = gauge.micro_batch(np.array([th]), r)
         if abs((hi - mid) - (mid - lo)) / d > 1e-4 * unit:
             continue
         smooth += 1
-        slope = gauge.ray_point(th, r)[1]
         assert abs(slope - (hi - lo) / (2.0 * d)) <= 1e-6 * unit, (i, n, th, r)
     assert smooth >= 50
 
 
-def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
-    # the scan's nodes take rbar and 2 rbar in one micro_batch call, whose
-    # window (at the larger radius) holds the smaller one's: each value is
-    # the accurate g^2 of micro_batch at one angle and its own radius
+def test_micro_batch_reads_one_radius_per_node(monkeypatch):
+    # the scan evaluates each node once, at rbar: a level call's values and
+    # slopes are those of micro_batch at each angle alone, bit for bit
     gen = oracle.generators(78)
-    for base, n in (("disk", 2), ("generic", 2), ("generic", 3)):
+    for base, n in (("disk", 2), ("generic", 2), ("generic", 3), ("generic", 5)):
         T = gen.nilpotent_rank_one(n) if base == "disk" else gen.matrix(n)
         T = linalg.as_matrix(T)
         S = linalg.as_matrix(gen.matrix(n))
@@ -878,21 +867,86 @@ def test_micro_batch_reads_both_node_radii_in_one_call(monkeypatch):
             gauge = _Gauge(T, S, kind)
             r = math.sqrt(DECISION_TOL * gauge.norm**2) / (4.0 * gauge.gS)
             thetas = np.arange(16) * (2.0 * math.pi / 16)
-            got = gauge.micro_batch(np.tile(thetas, 2), np.repeat([r, 2.0 * r], 16))
-            ref = [gauge.micro_batch(np.array([t]), rr)[0] for rr in (r, 2.0 * r) for t in thetas]
-            assert np.abs(got - ref).max() <= 1e-13 * gauge.norm**2
+            got = gauge.micro_batch(thetas, r)
+            ref = [gauge.micro_batch(np.array([t]), r) for t in thetas]
+            assert got[0].tolist() == [float(g[0]) for g, _ in ref], (base, n, kind)
+            assert got[1].tolist() == [float(s[0]) for _, s in ref], (base, n, kind)
     calls = []
     micro = _Gauge.micro_batch
 
     def counted(self, thetas, r):
-        calls.append(np.size(r))
+        assert np.ndim(r) == 0
+        calls.append(np.size(thetas))
         return micro(self, thetas, r)
 
     monkeypatch.setattr(_Gauge, "micro_batch", counted)
     assert is_bj_orthogonal(T, S, 0.5, "direct") == is_bj_orthogonal(T, S, 0.5)
-    # each level of the scan in calls of at most 64 nodes at two radii,
-    # the 64 base nodes first (the ray searches take `ray_point`)
-    assert calls[0] == 128 and all(c % 2 == 0 and c <= 128 for c in calls)
+    # each level of the scan in calls of at most 64 nodes, the 64 base
+    # nodes first; the ray searches call it at one point
+    assert calls[0] == 64 and max(calls) <= 64, calls
+
+
+@pytest.mark.parametrize("kind", ["omega", "sigma"])
+def test_node_tangent_bounds_f_on_the_strip(kind):
+    # the strip bound of a scan node is F's tangent at rbar: for the top
+    # vector of g(M) at rbar, |<H_phi(M_r) x, x>| (radius) or ||M_r v||
+    # (spectral norm) is affine in r, so g^2 lies above the square of its
+    # tangent without any curvature bound. At 41 radii in [0, rbar] F must
+    # stay within rounding above f1 + (r - rbar)(s + off), on generic,
+    # Hermitian and square-zero bases at n = 2..6. At r = 0, where F = 0,
+    # the tangent loses about half what a secant to 2 rbar loses (exactly
+    # half on a parabola): a slope halved breaks the first check, a secant
+    # slope the second
+    gen = oracle.generators(2525)
+    rng = np.random.default_rng(2525)
+    eps = 0.5
+    ratios = []
+    for n in range(2, 7):
+        for base in (gen.matrix, gen.hermitian, gen.nilpotent_rank_one):
+            T, S, _, _ = wderiv._unit_pair(base(n), gen.matrix(n))
+            gauge = _Gauge(T, S, kind)
+            unit = gauge.norm**2
+            rbar = math.sqrt(DECISION_TOL * unit) / (4.0 * gauge.gS)
+            off = 2.0 * eps * gauge.gT * gauge.gS
+            thetas = rng.uniform(0.0, 2.0 * math.pi, 8)
+
+            def F(r):
+                return gauge.micro_batch(thetas, r)[0] - gauge.gT**2 + off * r
+
+            f1 = F(rbar)
+            slope = gauge.micro_batch(thetas, rbar)[1] + off
+            for r in np.linspace(0.0, rbar, 41):
+                tangent = f1 + (r - rbar) * slope
+                assert (F(r) >= tangent - 1e-12 * unit).all(), (n, base.__name__, r)
+            f0 = F(0.0)
+            ratios += ((f0 - (f1 - rbar * slope)) / (f0 - (2.0 * f1 - F(2.0 * rbar)))).tolist()
+    assert np.median(ratios) <= 0.75, np.median(ratios)
+
+
+def test_direct_scans_end_in_their_base_level(monkeypatch):
+    # validate 9192 #93 (n = 4, radius gauge) and 1618 #158 (n = 3,
+    # spectral norm) at eps = min(eps* + 0.35, 0.98): with a secant to
+    # 2 rbar for the strip bound, nodes failed only that bound and both
+    # scans used 1,599 nodes; the tangent at rbar certifies every gap of
+    # the 64 base nodes, with no ray search
+    calls = []
+    micro = _Gauge.micro_batch
+
+    def counted(self, thetas, r):
+        calls.append(np.size(thetas))
+        return micro(self, thetas, r)
+
+    monkeypatch.setattr(_Gauge, "micro_batch", counted)
+    for seed, k, kind in ((9192, 93, "omega"), (1618, 158, "sigma")):
+        T, S, _, _ = _validate_pair(seed, k)
+        eps = min(min_epsilon(T, S) + 0.35, 0.98)
+        calls.clear()
+        if kind == "omega":
+            assert is_omega_orthogonal(T, S, eps, method="direct").orthogonal
+            assert is_omega_orthogonal(T, S, eps, method="derivative").orthogonal
+        else:
+            assert is_bj_orthogonal(T, S, eps, "direct") and is_bj_orthogonal(T, S, eps)
+        assert calls == [64], (seed, k, calls)
 
 
 def _chain_hull(P):
@@ -961,7 +1015,7 @@ def test_acc_sq_never_misses_a_dense_sweep_peak():
         E = np.exp(1j * phis)[:, None, None] * M[None]
         w = np.linalg.eigvalsh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
         dense = max(w[:, -1].max(), -w[:, 0].min())
-        assert gauge.micro_batch(np.array([th]), r)[0] >= dense**2 - 1e-9, (i, n, th, r)
+        assert gauge.micro_batch(np.array([th]), r)[0][0] >= dense**2 - 1e-9, (i, n, th, r)
 
 
 @pytest.mark.parametrize("n", [2, 3])
