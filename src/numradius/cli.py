@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import oracle
-from .linalg import MatrixError, as_matrix, spectral_norm
+from .linalg import as_matrix, spectral_norm
 from .numrange import boundary_points, crawford_number, numerical_radius
 from .wderiv import (
     ConvergenceError,
@@ -55,9 +56,6 @@ class MatrixSyntaxError(ValueError):
 
 
 _REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-
-import re  # noqa: E402  (kept next to the patterns it feeds)
-
 _RE_BOTH = re.compile(rf"([+-]?{_REAL})([+-](?:{_REAL})?)i\Z")
 _RE_IMAG = re.compile(rf"([+-]?(?:{_REAL})?)i\Z")
 _RE_REAL = re.compile(rf"[+-]?{_REAL}\Z")
@@ -182,16 +180,17 @@ def format_matrix(M) -> str:
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Load {"rows": r, "cols": c, "data": [[re, im], ...]} (row-major).
-    Content of any other shape raises ValueError (exit 2 in the CLI)."""
+    """Load {"rows": r, "cols": c, "data": [[re, im], ...]} (row-major), with
+    integer rows and cols and number entries. Content of any other shape or
+    type raises ValueError (exit 2 in the CLI)."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError):
-        raise ValueError(f'{path}: expected integer "rows" and "cols", and "data"') from None
+    rows, cols, data = obj.get("rows"), obj.get("cols"), obj.get("data")
+    # exact types, as json.load makes them: true and false are no counts or numbers
+    if type(rows) is not int or type(cols) is not int or "data" not in obj:
+        raise ValueError(f'{path}: expected integer "rows" and "cols", and "data"')
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: rows and cols must be positive")
     if not isinstance(data, list):
@@ -202,10 +201,9 @@ def load_matrix_file(path: str) -> np.ndarray:
     for k, pair in enumerate(data):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{path}: data[{k}] is not a [re, im] pair")
-        try:
-            flat.append(complex(float(pair[0]), float(pair[1])))
-        except TypeError:
-            raise ValueError(f"{path}: data[{k}] holds a non-number") from None
+        if type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float):
+            raise ValueError(f"{path}: data[{k}] holds a non-number")
+        flat.append(complex(float(pair[0]), float(pair[1])))
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
@@ -234,29 +232,63 @@ def _j(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _emit(args, lines, payload) -> None:
+def _verdict(ok: bool) -> str:
+    return "ORTHOGONAL" if ok else "NOT ORTHOGONAL"
+
+
+def _text(v) -> str:
+    """A field value as its text line prints it; a vector as [a;b]."""
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    if isinstance(v, float):
+        return _g(v)
+    if isinstance(v, complex):
+        return _gc(v)
+    if isinstance(v, np.ndarray):
+        return "[" + ";".join(_gc(z) for z in v) + "]"
+    return str(v)
+
+
+def _json(v):
+    """A field value as JSON output holds it; a complex number as [re, im]."""
+    if isinstance(v, float):
+        return _j(v)
+    if isinstance(v, complex):
+        return [_j(v.real), _j(v.imag)]
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_json(x) for x in v]
+    return v
+
+
+def _emit(args, fields) -> None:
+    """Print ordered (name, value) fields as `name: value` lines, or as one
+    JSON object keyed by the names with "_" for "-". The field `orthogonal`
+    prints as the text line `verdict: ...`; `enclosure` is JSON only."""
     if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+        print(json.dumps({name.replace("-", "_"): _json(v) for name, v in fields}))
+        return
+    for name, v in fields:
+        if name == "orthogonal":
+            print(f"verdict: {_verdict(v)}")
+        elif name != "enclosure":
+            print(f"{name}: {_text(v)}")
 
 
-class _UsageError(ValueError):
-    pass
+def _fields(result, names: str):
+    """(name, value) pairs for the space-separated `names`, each read off
+    `result` as the attribute with "_" for "-"."""
+    return [(name, getattr(result, name.replace("-", "_"))) for name in names.split()]
 
 
-def _matrix_arg(args, name: str, positional_ok: bool = False) -> np.ndarray:
-    lit = getattr(args, name, None)
-    path = getattr(args, f"{name}_file", None)
-    pos = getattr(args, "matrix", None) if positional_ok else None
+def _matrix_arg(args, name: str) -> np.ndarray:
+    lit = getattr(args, name)
+    path = getattr(args, f"{name}_file")
+    pos = getattr(args, "matrix", None)  # radius, crawford and range take a positional literal
     picked = [s for s in (lit, path, pos) if s]
     if len(picked) != 1:
-        extra = " or a positional literal" if positional_ok else ""
-        raise _UsageError(f"provide exactly one of --{name}, --{name}-file{extra}")
-    if path:
-        return load_matrix_file(path)
-    return parse_matrix(lit if lit else pos)
+        extra = " or a positional literal" if hasattr(args, "matrix") else ""
+        raise ValueError(f"provide exactly one of --{name}, --{name}-file{extra}")
+    return as_matrix(load_matrix_file(path) if path else parse_matrix(lit if lit else pos))
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +296,24 @@ def _matrix_arg(args, name: str, positional_ok: bool = False) -> np.ndarray:
 
 
 def _cmd_radius(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
-    res = numerical_radius(T, tol=args.tol)
-    vec = "[" + ";".join(_gc(z) for z in res.maximizer) + "]"
-    _emit(
-        args,
-        [f"omega: {_g(res.omega)}", f"theta-star: {_g(res.theta_star)}", f"maximizer: {vec}"],
-        {
-            "omega": _j(res.omega),
-            "theta_star": _j(res.theta_star),
-            "maximizer": [[_j(z.real), _j(z.imag)] for z in res.maximizer],
-            "enclosure": [_j(res.enclosure[0]), _j(res.enclosure[1])],
-        },
-    )
+    res = numerical_radius(_matrix_arg(args, "t"), tol=args.tol)
+    _emit(args, _fields(res, "omega theta-star maximizer enclosure"))
     return 0
 
 
 def _cmd_crawford(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
-    c = crawford_number(T, tol=args.tol)
-    _emit(args, [f"crawford: {_g(c)}"], {"crawford": _j(c)})
+    c = crawford_number(_matrix_arg(args, "t"), tol=args.tol)
+    _emit(args, [("crawford", c)])
     return 0
 
 
 def _cmd_range(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t", positional_ok=True))
+    T = _matrix_arg(args, "t")
     if args.samples < 3:
-        raise _UsageError("--samples must be at least 3")
+        raise ValueError("--samples must be at least 3")
     pts = boundary_points(T, args.samples)
     if args.format == "json":
-        print(json.dumps([[_j(z.real), _j(z.imag)] for z in pts]))
+        print(json.dumps(_json(pts)))
     else:
         print("re,im")
         for z in pts:
@@ -302,116 +322,62 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
     d = omega_derivative(T, S, args.theta, tol=args.tol)
     _emit(
         args,
         [
-            f"derivative: {_g(d.value)}",
-            f"theta: {_g(d.theta)}",
-            f"converged: {'yes' if d.converged else 'no'}",
-            f"quotient-steps: {len(d.quotient_trace)}",
+            ("derivative", d.value),
+            ("theta", d.theta),
+            ("converged", d.converged),
+            ("quotient-steps", len(d.quotient_trace)),
         ],
-        {
-            "derivative": _j(d.value),
-            "theta": _j(d.theta),
-            "converged": d.converged,
-            "quotient_steps": len(d.quotient_trace),
-        },
     )
     return 0 if d.converged else 1
 
 
 def _cmd_inf_deriv(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
     value, worst = inf_derivative(T, S, tol=args.tol)
-    _emit(
-        args,
-        [f"inf-derivative: {_g(value)}", f"worst-theta: {_g(worst)}"],
-        {"inf_derivative": _j(value), "worst_theta": _j(worst)},
-    )
+    _emit(args, [("inf-derivative", value), ("worst-theta", worst)])
     return 0
 
 
 def _cmd_ortho(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
     rep = is_omega_orthogonal(T, S, args.eps, method=args.method)
-    verdict = "ORTHOGONAL" if rep.orthogonal else "NOT ORTHOGONAL"
-    _emit(
-        args,
-        [
-            f"verdict: {verdict}",
-            f"epsilon: {_g(rep.epsilon)}",
-            f"margin: {_g(rep.margin)}",
-            f"inf-derivative: {_g(rep.inf_derivative)}",
-            f"worst-theta: {_g(rep.worst_theta)}",
-            f"threshold: {_g(rep.threshold)}",
-            f"epsilon-star: {_g(rep.epsilon_star)}",
-            f"method: {rep.method}",
-        ],
-        {
-            "orthogonal": rep.orthogonal,
-            "epsilon": _j(rep.epsilon),
-            "margin": _j(rep.margin),
-            "inf_derivative": _j(rep.inf_derivative),
-            "worst_theta": _j(rep.worst_theta),
-            "threshold": _j(rep.threshold),
-            "epsilon_star": _j(rep.epsilon_star),
-            "method": rep.method,
-        },
-    )
+    names = "orthogonal epsilon margin inf-derivative worst-theta threshold epsilon-star method"
+    _emit(args, _fields(rep, names))
     return 0
 
 
 def _cmd_min_eps(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
-    e = min_epsilon(T, S)
-    _emit(args, [f"epsilon-star: {_g(e)}"], {"epsilon_star": _j(e)})
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
+    _emit(args, [("epsilon-star", min_epsilon(T, S))])
     return 0
 
 
 def _cmd_bj_ortho(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
     ok = is_bj_orthogonal(T, S, args.eps, method=args.method)
-    verdict = "ORTHOGONAL" if ok else "NOT ORTHOGONAL"
-    lines = [f"verdict: {verdict}", f"epsilon: {_g(args.eps)}"]
-    doc = {"orthogonal": ok, "epsilon": _j(args.eps)}
+    fields = [("orthogonal", ok), ("epsilon", args.eps)]
     if args.method == "closed-form":
         # the direct scan computes no threshold; its verdict stands alone
-        estar = min_epsilon_bj(T, S)
-        lines.append(f"epsilon-star: {_g(estar)}")
-        doc["epsilon_star"] = _j(estar)
-    lines.append(f"method: {args.method}")
-    doc["method"] = args.method
-    _emit(args, lines, doc)
+        fields.append(("epsilon-star", min_epsilon_bj(T, S)))
+    _emit(args, fields + [("method", args.method)])
     return 0
 
 
 def _cmd_oracle_scan(args) -> int:
-    T = as_matrix(_matrix_arg(args, "t"))
-    S = as_matrix(_matrix_arg(args, "s"))
+    T, S = _matrix_arg(args, "t"), _matrix_arg(args, "s")
     if args.grid < 32:
-        raise _UsageError("--grid must be at least 32 for oracle-scan")
+        raise ValueError("--grid must be at least 32 for oracle-scan")
     margin, lam = oracle.direct_lambda_scan(
         T, S, args.eps, grid_r=max(16, args.grid // 2), grid_theta=args.grid
     )
     _emit(
         args,
-        [
-            f"min-margin: {_g(margin)}",
-            f"argmin-lambda: {_gc(lam)}",
-            f"violation: {'yes' if margin < 0.0 else 'no'}",
-        ],
-        {
-            "min_margin": _j(margin),
-            "argmin_lambda": [_j(lam.real), _j(lam.imag)],
-            "violation": bool(margin < 0.0),
-        },
+        [("min-margin", margin), ("argmin-lambda", lam), ("violation", bool(margin < 0.0))],
     )
     return 0
 
@@ -431,19 +397,15 @@ def _paper_claims():
     def omega(M):
         return lambda: numerical_radius(M).omega
 
-    def verdict(T, S, eps):
+    def verdict(T, S, eps, bj=False):
         def run():
-            a = is_omega_orthogonal(T, S, eps, method="derivative").orthogonal
-            b = is_omega_orthogonal(T, S, eps, method="direct").orthogonal
+            if bj:
+                a = is_bj_orthogonal(T, S, eps, method="closed-form")
+                b = is_bj_orthogonal(T, S, eps, method="direct")
+            else:
+                a = is_omega_orthogonal(T, S, eps, method="derivative").orthogonal
+                b = is_omega_orthogonal(T, S, eps, method="direct").orthogonal
             return a if a == b else None  # None = methods disagree, always fails
-
-        return run
-
-    def bj_verdict(T, S, eps):
-        def run():
-            a = is_bj_orthogonal(T, S, eps, method="closed-form")
-            b = is_bj_orthogonal(T, S, eps, method="direct")
-            return a if a == b else None
 
         return run
 
@@ -486,7 +448,7 @@ def _paper_claims():
             "bj-ortho@eps=0 [0,1;0,-1] vs [1,0;0,0]",
             "verdict",
             True,
-            bj_verdict(T24, S24, 0.0),
+            verdict(T24, S24, 0.0, bj=True),
             0,
             "closed form and direct scan; eps-star is exactly 0 here",
         ),
@@ -520,19 +482,10 @@ def _cmd_paper_check(args) -> int:
         got = compute()
         if kind == "verdict":
             ok = got is not None and bool(got) == bool(expected)
-            exp_s = "ORTHOGONAL" if expected else "NOT ORTHOGONAL"
-            got_s = (
-                "mixed"
-                if got is None
-                else ("ORTHOGONAL" if got else "NOT ORTHOGONAL")
-            )
+            exp_s, got_s = _verdict(expected), ("mixed" if got is None else _verdict(got))
             diff_s = "-"
-        elif kind == "interval":
-            ok = 0.0 < got <= expected + tol
-            exp_s, got_s = _g(expected), _g(got)
-            diff_s = _g(abs(got - expected))
         else:
-            ok = abs(got - expected) <= tol
+            ok = 0.0 < got <= expected + tol if kind == "interval" else abs(got - expected) <= tol
             exp_s, got_s = _g(expected), _g(got)
             diff_s = _g(abs(got - expected))
         passed += ok
@@ -583,55 +536,47 @@ def _build_parser() -> argparse.ArgumentParser:
     two.add_argument("--t-file", dest="t_file", help="left matrix JSON file")
     two.add_argument("--s", help="right matrix literal")
     two.add_argument("--s-file", dest="s_file", help="right matrix JSON file")
+    tol_t = argparse.ArgumentParser(add_help=False)
+    tol_t.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
+    tol_ts = argparse.ArgumentParser(add_help=False)
+    tol_ts.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance, in the units of T times S")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    theta = argparse.ArgumentParser(add_help=False)  # --theta comes before --tol in deriv's help
+    theta.add_argument("--theta", type=float, default=0.0, help="ray direction in radians")
 
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    p = sub.add_parser("radius", parents=[one, common], help="numerical radius, argmax angle, maximizer")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
-    p = sub.add_parser("crawford", parents=[one, common], help="distance from 0 to the numerical range")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance, in the units of T")
-    p = sub.add_parser("range", parents=[one, table], help="boundary points of the numerical range")
+
+    def add(name, run, parents, help_):
+        p = sub.add_parser(name, parents=parents, help=help_)
+        p.set_defaults(run=run)
+        return p
+
+    add("radius", _cmd_radius, [one, common, tol_t], "numerical radius, argmax angle, maximizer")
+    add("crawford", _cmd_crawford, [one, common, tol_t], "distance from 0 to the numerical range")
+    p = add("range", _cmd_range, [one, table], "boundary points of the numerical range")
     p.add_argument("--samples", type=int, default=360, help="number of boundary points (>= 3)")
-    p = sub.add_parser("deriv", parents=[two, common], help="one-sided derivative of omega^2 along a ray")
-    p.add_argument("--theta", type=float, default=0.0, help="ray direction in radians")
-    p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance, in the units of T times S")
-    p = sub.add_parser("inf-deriv", parents=[two, common], help="worst-direction derivative over theta")
-    p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance, in the units of T times S")
-    p = sub.add_parser("ortho", parents=[two, common], help="approximate radius-orthogonality verdict")
-    p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    add("deriv", _cmd_deriv, [two, common, theta, tol_ts], "one-sided derivative of omega^2 along a ray")
+    add("inf-deriv", _cmd_inf_deriv, [two, common, tol_ts], "worst-direction derivative over theta")
+    p = add("ortho", _cmd_ortho, [two, common, eps], "approximate radius-orthogonality verdict")
     p.add_argument(
         "--method",
         choices=("derivative", "direct"),
         default="derivative",
         help="decision procedure",
     )
-    sub.add_parser("min-eps", parents=[two, common], help="smallest epsilon making the pair orthogonal")
-    p = sub.add_parser("bj-ortho", parents=[two, common], help="spectral-norm orthogonality verdict")
-    p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    add("min-eps", _cmd_min_eps, [two, common], "smallest epsilon making the pair orthogonal")
+    p = add("bj-ortho", _cmd_bj_ortho, [two, common, eps], "spectral-norm orthogonality verdict")
     p.add_argument(
         "--method",
         choices=("closed-form", "direct"),
         default="closed-form",
         help="decision procedure",
     )
-    sub.add_parser("paper-check", parents=[common], help="verify the built-in reference values")
-    p = sub.add_parser("oracle-scan", parents=[two, common], help="brute-force margin scan over lambda")
-    p.add_argument("--eps", type=float, required=True, help="epsilon in [0, 1)")
+    add("paper-check", _cmd_paper_check, [common], "verify the built-in reference values")
+    p = add("oracle-scan", _cmd_oracle_scan, [two, common, eps], "brute-force margin scan over lambda")
     p.add_argument("--grid", type=int, default=64, help="angle grid of the scan (>= 32)")
     return ap
-
-
-_DISPATCH = {
-    "radius": _cmd_radius,
-    "crawford": _cmd_crawford,
-    "range": _cmd_range,
-    "deriv": _cmd_deriv,
-    "inf-deriv": _cmd_inf_deriv,
-    "ortho": _cmd_ortho,
-    "min-eps": _cmd_min_eps,
-    "bj-ortho": _cmd_bj_ortho,
-    "paper-check": _cmd_paper_check,
-    "oracle-scan": _cmd_oracle_scan,
-}
 
 
 def main(argv=None) -> int:
@@ -641,14 +586,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
-    except MatrixSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.run(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixError, _UsageError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a MatrixError or MatrixSyntaxError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

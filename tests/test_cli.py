@@ -186,6 +186,10 @@ def test_load_matrix_file_rejects_bad_shapes(tmp_path, payload, message):
         ({"rows": 1, "cols": 1, "data": [5]}, "data[0] is not a [re, im] pair"),
         ({"rows": 1, "cols": 1, "data": [{"re": 1, "im": 0}]}, "data[0] is not a [re, im] pair"),
         ({"rows": 1, "cols": 1, "data": [[None, 0]]}, "data[0] holds a non-number"),
+        ({"rows": 1.7, "cols": True, "data": [[1, 0]]}, 'expected integer "rows" and "cols"'),
+        ({"rows": "1", "cols": 1, "data": [[1, 0]]}, 'expected integer "rows" and "cols"'),
+        ({"rows": 1, "cols": 1, "data": [["1.5", False]]}, "data[0] holds a non-number"),
+        ({"rows": 1, "cols": 1, "data": [[True, 0]]}, "data[0] holds a non-number"),
     ],
 )
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, payload, message):
@@ -344,6 +348,55 @@ def test_oracle_scan_output(capsys):
     out = capsys.readouterr().out
     margin = float(out.splitlines()[0].split(": ")[1])
     assert margin >= -1e-9
+
+
+def _text_of_json(value) -> str:
+    """A JSON value as the text format prints it."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return "[" + ";".join(cli._gc(complex(*z)) for z in value) + "]"
+    if isinstance(value, list):
+        return cli._gc(complex(*value))
+    if isinstance(value, float):
+        return cli._g(value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "--t", "[1,1;0,-1]"],
+        ["crawford", "--t", "[2,0;0,1]"],
+        ["deriv", "--t", "[0,1;0,-1]", "--s", "[1,0;0,0]", "--theta", "0.5"],
+        ["inf-deriv", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]"],
+        ["ortho", "--t", "[1i,0;0,0]", "--s", "[0,1;0,-1]", "--eps", "0"],
+        ["ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.3", "--method", "direct"],
+        ["min-eps", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]"],
+        ["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.7"],
+        ["bj-ortho", "--t", "[2,0;0,0]", "--s", "[1,1;0,1]", "--eps", "0.3", "--method", "direct"],
+        ["oracle-scan", "--t", "[1i,0;0,0]", "--s", "[0,1;0,-1]", "--eps", "0", "--grid", "32"],
+    ],
+    ids=lambda argv: argv[0] + ("-" + argv[-1] if "--method" in argv else ""),
+)
+def test_text_and_json_carry_the_same_fields(argv, capsys):
+    # JSON keys are the text names with "_", "orthogonal" stands in for the
+    # verdict line and radius adds "enclosure"; values are compared through
+    # the 12-digit text rendering
+    assert main(argv) == 0
+    text = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if argv[0] == "radius":
+        lo, hi = doc.pop("enclosure")
+        assert lo <= doc["omega"] <= hi
+    names = ["orthogonal" if n == "verdict" else n.replace("-", "_") for n, _ in text]
+    assert names == list(doc)
+    for (name, value), key in zip(text, names):
+        if name == "verdict":
+            assert value == ("ORTHOGONAL" if doc[key] else "NOT ORTHOGONAL")
+        else:
+            assert value == _text_of_json(doc[key]), key
 
 
 def test_matrix_from_file_flag(tmp_path, capsys):
