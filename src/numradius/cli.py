@@ -181,8 +181,8 @@ def format_matrix(M) -> str:
 
 def load_matrix_file(path: str) -> np.ndarray:
     """Load {"rows": r, "cols": c, "data": [[re, im], ...]} (row-major), with
-    integer rows and cols and number entries. Content of any other shape or
-    type raises ValueError (exit 2 in the CLI)."""
+    integer rows and cols and number entries that fit a float. Content of
+    any other shape, type or size raises ValueError (exit 2 in the CLI)."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -203,7 +203,10 @@ def load_matrix_file(path: str) -> np.ndarray:
             raise ValueError(f"{path}: data[{k}] is not a [re, im] pair")
         if type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float):
             raise ValueError(f"{path}: data[{k}] holds a non-number")
-        flat.append(complex(float(pair[0]), float(pair[1])))
+        try:
+            flat.append(complex(float(pair[0]), float(pair[1])))
+        except OverflowError:  # an int past the largest float
+            raise ValueError(f"{path}: data[{k}] holds a number too large for a float") from None
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 

@@ -36,13 +36,15 @@ that reads a level solves every arc whose bound reaches it; and a grid
 run is refined only when a bound on a step of its bracket reaches the
 level read (the bracket test). Every value a caller reads is the full
 sweep's bit for bit. The brackets of a call, possibly of several
-matrices, are refined in lockstep: each step makes one batched
+matrices, are refined in lockstep: each round makes one batched
 evaluation (`_slopes_at`) over every bracket still open, and a
-bracket's result does not depend on the others. A call of more than
-`_SCALAR_LANES` brackets also takes each step's arithmetic as one numpy
-pass over them (`_peak_lanes`), the same bits. Sweep results are
-memoized per matrix because derivative and orthogonality code re-reads
-them heavily.
+bracket's result does not depend on the others. One driver,
+`_lockstep`, advances every generator search of the package, these
+peak searches and ``wderiv``'s quotient schedules and ray searches
+alike; a call of more than `_SCALAR_LANES` brackets instead takes each
+round's arithmetic as one numpy pass over them (`_peak_lanes`), the
+same bits. Sweep results are memoized per matrix because derivative
+and orthogonality code re-reads them heavily.
 
 One eigensolve gives the slope of lambda_max with its value: by
 Hellmann-Feynman it is -Im(e^{i theta} <T x, x>) for a top eigenvector
@@ -110,9 +112,9 @@ _BISECT_MIN_N = 8
 # step cap of one peak search; on the benchmark pools a search takes 3-10
 _ROOT_STEPS = 200
 # a peak-search call of at most this many brackets runs one generator per
-# bracket (`_peak_search`), and at n = 2 its rounds of at most this many
-# lanes are evaluated on Python floats; a call of more brackets steps them
-# all as arrays (`_peak_lanes`). The same bits either way
+# bracket (`_peak_search`, in `_lockstep`), and at n = 2 its rounds of at
+# most this many lanes are evaluated on Python floats; a call of more
+# brackets steps them all as arrays (`_peak_lanes`). The same bits either way
 _SCALAR_LANES = 16
 # values within _TIE |f| of each other tie in a peak search: a computed
 # lambda_max(H_theta) is within about n u ||T|| <= 2 n u omega(T) of exact
@@ -348,28 +350,21 @@ def _sweep_extremes(T: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_extremes(
-    T: np.ndarray, grid: int, idx: np.ndarray, finer: _Sweep | None, H: np.ndarray | None = None
+    T: np.ndarray, grid: int, idx: np.ndarray, finer: _Sweep | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) of H_theta(T) at the angles ``idx`` of a
     ``grid``-angle grid, as `_extremes_at` gives them. The angles that a
     ``finer`` sweep of T on a multiple of the grid has solved are copied
     from it (angle k is the same double as its angle (finer.grid / grid) k,
-    so the values are the same bits), and the rest are solved in one call,
-    from their rows of ``H`` when the caller has built H_theta and n > 3."""
-
-    def solve(k):
-        if H is None or T.shape[0] <= 3:
-            return _extremes_at(T, idx[k] * (_TWO_PI / grid))
-        return _extremes(H[k])
-
+    so the values are the same bits), and the rest are solved in one call."""
     if finer is None:
-        return solve(slice(None))
+        return _extremes_at(T, idx * (_TWO_PI / grid))
     with finer._lock:
         at = idx * (finer.grid // grid)
         wmin, wmax = finer.lo[at], finer.hi[at]
     new = wmax == -math.inf
     if new.any():
-        wmin[new], wmax[new] = solve(new)
+        wmin[new], wmax[new] = _extremes_at(T, idx[new] * (_TWO_PI / grid))
     return wmin, wmax
 
 
@@ -573,11 +568,13 @@ class _Sweep:
         return low
 
 
-def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
-    """Refine the peak of one bracket [a, b], as a generator.
+def _peak_search(
+    a: float, b: float, width: float, seed: tuple[float, float], stop: float = math.inf
+):
+    """Refine the peak of one bracket [a, b], as a `_lockstep` search.
 
-    It yields lists of abscissae and is sent back their (values, slopes)
-    as lists, and returns (x, f, bracketed). When the slopes at a and b
+    It yields lists of abscissae, is sent back a (value, slope) pair for
+    each, and returns (x, f, bracketed). When the slopes at a and b
     straddle zero (bracketed), Brent's zeroin finds the sign change of the
     slope: its bracket keeps a rising end left of a falling one, so it
     always holds a peak, and it stops once it is at most ``width`` wide
@@ -586,14 +583,16 @@ def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
     last iterate, where the slope is nearest zero, when its value ties
     with f within `_TIE` |f|: near a peak the values tie to rounding over
     about sqrt(u) in x, while the slope places the peak within
-    ``width``.
+    ``width``. The first evaluated value above ``stop`` ends the search
+    at once with (its abscissa, it, True).
     """
     xb, fb = seed
-    (fa, fz), (ga, gz) = yield [a, b]
-    if fa > fb:
-        xb, fb = a, fa
-    if fz > fb:
-        xb, fb = b, fz
+    (fa, ga), (fz, gz) = yield [a, b]
+    for x, f in ((a, fa), (b, fz)):
+        if f > fb:
+            xb, fb = x, f
+        if f > stop:
+            return x, f, True
     if not (ga >= 0.0 >= gz):
         return xb, fb, False
     # zeroin (Brent 1973) on the slope, with points (x, f, g): cur is the
@@ -631,30 +630,42 @@ def _peak_search(a: float, b: float, width: float, seed: tuple[float, float]):
             d = e = xm
         prev = cur
         x += d if abs(d) > tol1 else math.copysign(min(tol1, abs(xm)), xm)
-        (f,), (g,) = yield [x]
+        ((f, g),) = yield [x]
         cur = (x, f, g)
         if f > fb:
             xb, fb = x, f
+        if f > stop:
+            return x, f, True
         if (g > 0.0) == (far[2] > 0.0) and g != 0.0:
             far = prev
             d = e = x - prev[0]
     return (cur[0] if cur[1] >= fb - _TIE * abs(fb) else xb), fb, True
 
 
-def _peak_of(fg, a: float, b: float, width: float, enough: float = math.inf):
-    """`_peak_search` of [a, b], unseeded, on a scalar fg(x) -> (value, slope):
-    its (x, f), or the first evaluated (x, f) with f > ``enough``."""
-    search = _peak_search(a, b, width, (a, -math.inf))
-    xs = next(search)
-    while True:
-        vals = [fg(x) for x in xs]
-        for x, (f, _) in zip(xs, vals):
-            if f > enough:
-                return x, f
-        try:
-            xs = search.send(tuple(zip(*vals)))
-        except StopIteration as stop:
-            return stop.value[:2]
+def _lockstep(searches: list, evaluate) -> list:
+    """The return values of generator ``searches``, advanced in lockstep.
+
+    A search yields a list of points and is sent back one value per point,
+    in order, until it returns. Each round is one ``evaluate(owner,
+    points)`` call over the points of every open search, ``owner[i]``
+    being the index of the search that yielded ``points[i]``; it returns
+    their values as a list. A search's result does not depend on the
+    others as long as a point's value is its own alone. This is the only
+    place where the package advances a generator."""
+    out: list = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        owner = [i for i, xs in pending.items() for _ in xs]
+        values = evaluate(owner, [x for xs in pending.values() for x in xs])
+        k = 0
+        for i, xs in list(pending.items()):
+            try:
+                pending[i] = searches[i].send(values[k : k + len(xs)])
+            except StopIteration as done:
+                del pending[i]
+                out[i] = done.value
+            k += len(xs)
+    return out
 
 
 def _peak_lanes(Ms: np.ndarray, owner, a, b, seeds, width: float, sign: float):
@@ -740,17 +751,16 @@ def _refine_peaks(
     pair): f the best value evaluated, x where the search located its
     peak (`_peak_search`); ``negate`` maximizes -lambda_max instead. Every
     bracket runs its own `_peak_search` on the slope of lambda_max to
-    ``width``; the searches advance in lockstep, each round one
-    `_slopes_at` call over every bracket still open, whatever its matrix,
-    and a bracket's result does not depend on the brackets that share its
-    rounds. A call of more than `_SCALAR_LANES` brackets steps them all
-    as arrays (`_peak_lanes`), the same bits as the generators, which cost
-    a Python send per bracket and round. A bracket whose end slopes do
-    not straddle zero is re-split on the grid's slopes (`_resplit`). At
-    n = 2 a generator round of at most `_SCALAR_LANES` lanes takes the
-    closed form on Python floats, the same bits as the batched one: most
-    of those calls refine one or two brackets, where numpy's per-call
-    cost exceeds the arithmetic.
+    ``width``, all in one `_lockstep`: each round is one `_slopes_at` call
+    over every bracket still open, whatever its matrix, and a bracket's
+    result does not depend on the brackets that share its rounds. At
+    n = 2 a round of at most `_SCALAR_LANES` lanes takes the closed form
+    on Python floats instead, the same bits: most of those calls refine
+    one or two brackets, where numpy's per-call cost exceeds the
+    arithmetic. A call of more than `_SCALAR_LANES` brackets steps them
+    all as arrays (`_peak_lanes`), the same bits as the generators, which
+    cost a Python send per bracket and round. A bracket whose end slopes
+    do not straddle zero is re-split on the grid's slopes (`_resplit`).
     """
     sign = -1.0 if negate else 1.0
     owner = np.asarray(owner)
@@ -758,7 +768,27 @@ def _refine_peaks(
         arrays = (np.asarray(v, dtype=float) for v in (a, b, seeds))
         out = list(zip(*_peak_lanes(Ms, owner, *arrays, width, sign)))
     else:
-        out = _peak_rounds(Ms, owner.tolist(), a, b, seeds, width, sign)
+        lanes = owner.tolist()
+        rows: dict[int, list] = {}  # `_rot2` of the 2x2 matrices read on floats
+
+        def evaluate(ids, x):
+            ks = [lanes[i] for i in ids]
+            if Ms.shape[-1] != 2 or len(x) > _SCALAR_LANES:
+                f, g = _slopes_at(Ms, ks, x)
+                return list(zip((sign * f).tolist(), (sign * g).tolist()))
+            vals = []
+            for k, t in zip(ks, x):
+                c = rows.get(k)
+                if c is None:
+                    c = rows[k] = _rot2(Ms[k])
+                z = cmath.exp(1j * t)
+                f, g = _eig2_slope(c, z.real, z.imag)
+                vals.append((sign * f, sign * g))
+            return vals
+
+        out = _lockstep(
+            [_peak_search(lo, hi, width, seed) for lo, hi, seed in zip(a, b, seeds)], evaluate
+        )
     miss = [i for i, (_, _, bracketed) in enumerate(out) if not bracketed]
     out = [(x, fx) for x, fx, _ in out]
     if miss:
@@ -794,42 +824,6 @@ def _resplit(Ms: np.ndarray, owner, a, b, width: float, out: list, miss: list, s
         for i, r in zip(parent, got):
             if r[1] >= out[i][1]:
                 out[i] = r
-
-
-def _peak_rounds(Ms: np.ndarray, owner: list, a, b, seeds, width: float, sign: float):
-    """`_peak_search` of every bracket, one generator each, advanced in
-    lockstep rounds: their (x, f, bracketed) results."""
-    rows: dict[int, list] = {}  # `_rot2` of the 2x2 matrices the scalar rounds read
-    searches = [_peak_search(lo, hi, width, seed) for lo, hi, seed in zip(a, b, seeds)]
-    out: list = [None] * len(searches)
-    pending = {i: next(s) for i, s in enumerate(searches)}
-    while pending:
-        ids = list(pending)
-        lanes = [owner[i] for i in ids for _ in pending[i]]
-        x = [t for i in ids for t in pending[i]]
-        if Ms.shape[-1] == 2 and len(x) <= _SCALAR_LANES:
-            f, g = [], []
-            for j, t in zip(lanes, x):
-                c = rows.get(j)
-                if c is None:
-                    c = rows[j] = _rot2(Ms[j])
-                z = cmath.exp(1j * t)
-                fk, gk = _eig2_slope(c, z.real, z.imag)
-                f.append(sign * fk)
-                g.append(sign * gk)
-        else:
-            f, g = (sign * v for v in _slopes_at(Ms, lanes, x))
-            f, g = f.tolist(), g.tolist()
-        k = 0
-        for i in ids:
-            m = len(pending[i])
-            try:
-                pending[i] = searches[i].send((f[k : k + m], g[k : k + m]))
-            except StopIteration as stop:
-                del pending[i]
-                out[i] = stop.value
-            k += m
-    return out
 
 
 def _cyclic_runs(x: np.ndarray, low=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -898,13 +892,14 @@ def _radius_near(
     2 ``reach`` of omega(T). One search over two peaks can settle on the
     lower one. So when that window covers at most 1/8 of T's grid, each
     of its runs is cut at T's interior grid minima and each piece is
-    searched whole. A wider window (a
-    disk-like range, or a large r) takes a 256-angle sweep of every M
-    instead and refines each grid peak within ``lip`` times its step of
-    the top on its own (`_refine_runs`); a window level at or below the
-    floor of T's curve (`_Sweep.floor`) holds every grid angle, so it is
-    wide without solving T's sweep down to it. Every peak search runs to
-    bracket ``width`` (`_refine_peaks`).
+    searched whole. A wider window (a disk-like range, or a large r)
+    takes one 256-angle sweep of the whole stack instead, whose
+    temporaries grow with the stack (every caller passes at most 64
+    matrices), and refines each grid peak within ``lip`` times its step
+    of the top on its own (`_refine_runs`); a window level at or below
+    the floor of T's curve (`_Sweep.floor`) holds every grid angle, so it
+    is wide without solving T's sweep down to it. Every peak search runs
+    to bracket ``width`` (`_refine_peaks`).
     """
     sweep = p.sweep
     g, h = sweep.grid, sweep.h
@@ -915,10 +910,7 @@ def _radius_near(
         mask = hi >= level
         wide = np.count_nonzero(mask) > g // 8
     if wide:
-        # 64 matrices at a time: the sweep's temporaries grow with the stack
-        his = np.concatenate(
-            [_sweep_extremes(Ms[i : i + 64], 256)[1] for i in range(0, len(Ms), 64)]
-        )
+        his = _sweep_extremes(Ms, 256)[1]
         return _refine_runs(Ms, his, his.max(axis=1) - lip * (_TWO_PI / 256), width)
     K = Ms.shape[0]
     pieces = []  # (a, b) grid indices of each bracket: a run, cut at its dips
@@ -1077,7 +1069,7 @@ def boundary_points(T, count: int) -> list[complex]:
     idx = np.arange(m)
     z = np.exp(1j * (idx * (_TWO_PI / count)))
     H = _hermitian_rot(T, z)
-    lo, hi = _grid_extremes(T, count, idx, _cached_sweep(T, count), H)
+    lo, hi = _grid_extremes(T, count, idx, _cached_sweep(T, count))
     # row k < m is the top of angle k, row m + k (even count) its bottom
     pad = _SHIFT * math.sqrt(np.vdot(T, T).real)
     lam, sigma = hi, hi + pad

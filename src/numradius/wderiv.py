@@ -13,12 +13,13 @@ every line through T). The forward difference quotients
 are nonincreasing as r decreases and converge to the one-sided
 derivative. ``omega_derivative`` drives r down a halving schedule from
 r0 2^-24, r0 = omega(T) / 2 omega(S), where the support window is narrow,
-until successive quotients stabilize; ``inf_derivative`` runs its two
-schedules in lockstep, one `numrange._radius_near` call a round, and
-most pairs settle in one. The achievable resolution is limited by
-the floating-point cancellation in f(r) - f(0), roughly
-machine-eps * omega^2 / r, and the stopping logic accounts for that
-noise floor explicitly rather than halving forever. Every
+until successive quotients stabilize. Each schedule is a generator
+search, and ``inf_derivative`` runs its two in one `numrange._lockstep`
+(the driver of every search of the package), one
+`numrange._radius_near` call a round; most pairs settle in one. The
+achievable resolution is limited by the floating-point cancellation in
+f(r) - f(0), roughly machine-eps * omega^2 / r, and the stopping logic
+accounts for that noise floor explicitly rather than halving forever. Every
 omega(T + r e^{i theta} S) is read through T's cached profile by
 ``numrange._radius_near`` (see the ``numrange`` docstring).
 
@@ -184,9 +185,9 @@ def _quotient_limits(
     T: np.ndarray, S: np.ndarray, thetas, tol: float
 ) -> list[DerivativeResult]:
     """The quotient limits at the angles ``thetas``, one `_schedule` each,
-    in lockstep: each round is one `numrange._radius_near` call over the
-    next radii of every open schedule, with the window of its largest r and
-    the peak-search width of its smallest.
+    in one `numrange._lockstep`: each round is one `numrange._radius_near`
+    call over the next radii of every open schedule, with the window of
+    its largest r and the peak-search width of its smallest.
 
     Every schedule starts at r_s = min(r0, max(r0 2^-24, r_wall)),
     r0 = omega(T) / 2 omega(S): the window at r0 is wide and costs a
@@ -205,27 +206,16 @@ def _quotient_limits(
     r_wall = scale * scale * 2e-17 / tol
     r_s = min(r0, max(r0 * 2.0**-24, r_wall))
     Us = [cmath.exp(1j * t) * S for t in thetas]
-    runs = [_schedule(float(t), r_s, r_wall, tol, scale) for t in thetas]
-    out: list = [None] * len(runs)
-    pending = {i: next(s) for i, s in enumerate(runs)}
-    while pending:
-        ids = list(pending)
-        rs = [r for i in ids for r in pending[i]]
-        Ms = np.stack([T + r * Us[i] for i in ids for r in pending[i]])
+
+    def evaluate(owner, rs):
+        Ms = np.stack([T + r * Us[i] for i, r in zip(owner, rs)])
         top = max(rs)
         width = min(pT.sweep.h, max(math.sqrt(min(rs) * tol) / (2.5 * scale), 1e-14))
         w = numrange._radius_near(pT, Ms, top * wS, pT.lip + top * pS.lip, width)[0].tolist()
-        k = 0
-        for i in ids:
-            m = len(pending[i])
-            qs = [(o * o - w2) / (2.0 * r) for o, r in zip(w[k : k + m], pending[i])]
-            try:
-                pending[i] = runs[i].send(qs)
-            except StopIteration as stop:
-                del pending[i]
-                out[i] = stop.value
-            k += m
-    return out
+        return [(o * o - w2) / (2.0 * r) for o, r in zip(w, rs)]
+
+    runs = [_schedule(float(t), r_s, r_wall, tol, scale) for t in thetas]
+    return numrange._lockstep(runs, evaluate)
 
 
 def _schedule(theta: float, r: float, r_wall: float, tol: float, scale: float):
@@ -407,19 +397,27 @@ class _ActiveSet:
             # of the arc: search wherever a second eigenvalue comes close
             top, second = np.concatenate((w[:, -1:-3:-1], -w[:, :2])).T
             near = (second >= self.floor - pT.lip * h * h) & (second < top - self.tie)
-            for phi in np.concatenate((phis, phis + math.pi))[near].tolist():
-                x, _ = numrange._peak_of(self._second, phi - h, phi + h, 1e-9)
+            searches = [
+                numrange._peak_search(phi - h, phi + h, 1e-9, (phi - h, -math.inf))
+                for phi in np.concatenate((phis, phis + math.pi))[near].tolist()
+            ]
+            for x, _, _ in numrange._lockstep(searches, self._second):
                 self._arc(np.array([x]), 0.0, gap)
         # about 1024 support points of blocks, at least 16 per block
         self.ring = max(16, 1024 // max(1, sum(map(len, self.blocks.values()))))
         self._blocks_at(np.arange(self.ring) * (_TWO_PI / self.ring))
 
-    def _second(self, phi: float) -> tuple[float, float]:
-        """(lambda_2(H_phi(T)), its slope -Im(e^{i phi} <T y, y>) at its eigenvector y)."""
-        z = cmath.exp(1j * phi)
-        w, V = np.linalg.eigh(_hermitian_rot(self.T, z))
-        y = V[:, -2]
-        return float(w[-2]), float(-(z * np.vdot(y, self.T @ y)).imag)
+    def _second(self, _, phis: list) -> list[tuple[float, float]]:
+        """(lambda_2(H_phi(T)), its slope -Im(e^{i phi} <T y, y>) at its
+        eigenvector y) at each angle of ``phis``, one ``eigh`` each: the
+        `numrange._lockstep` evaluation of the hidden-block searches."""
+        out = []
+        for phi in phis:
+            z = cmath.exp(1j * phi)
+            w, V = np.linalg.eigh(_hermitian_rot(self.T, z))
+            y = V[:, -2]
+            out.append((float(w[-2]), float(-(z * np.vdot(y, self.T @ y)).imag)))
+        return out
 
     def _add(self, p, phi, h) -> None:
         new = np.empty(np.size(p), _POINT)
@@ -696,7 +694,8 @@ def _scan_minimum(
             (g2,), (slope,) = gauge.micro_batch(np.array([th]), r)
             return -F(th, r, float(g2)), -(float(slope) + off)
 
-        return -numrange._peak_of(fg, r_lo, r_max, 1e-9 * r_max, 2.0 * tau)[1]
+        search = numrange._peak_search(r_lo, r_max, 1e-9 * r_max, (r_lo, -math.inf), 2.0 * tau)
+        return -numrange._lockstep([search], lambda _, rs: [fg(r) for r in rs])[0][1]
 
     nodes: dict[float, tuple[float, float]] = {}  # theta -> (mt, B)
     ths = (np.arange(64) * (_TWO_PI / 64.0)).tolist()

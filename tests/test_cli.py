@@ -190,6 +190,7 @@ def test_load_matrix_file_rejects_bad_shapes(tmp_path, payload, message):
         ({"rows": "1", "cols": 1, "data": [[1, 0]]}, 'expected integer "rows" and "cols"'),
         ({"rows": 1, "cols": 1, "data": [["1.5", False]]}, "data[0] holds a non-number"),
         ({"rows": 1, "cols": 1, "data": [[True, 0]]}, "data[0] holds a non-number"),
+        ({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "data[0] holds a number too large"),
     ],
 )
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, payload, message):

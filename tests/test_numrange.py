@@ -335,7 +335,7 @@ def _counting_eigh(monkeypatch):
 def test_boundary_points_copy_the_3x3_sweep_bit_for_bit(monkeypatch):
     # at n = 3 T's sweep and boundary_points' own solves both take the
     # closed form `linalg._eig3_rot` of the same real products
-    # (`_extremes_at`, not the H_theta boundary_points builds), so the
+    # (`_extremes_at`, which `_grid_extremes` calls at every n), so the
     # support values copied from T's fully solved cached sweep give the
     # points of a cold call, bit for bit, with no solve of their own
     gen = oracle.generators(33)

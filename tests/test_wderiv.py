@@ -371,6 +371,33 @@ def test_block_between_arc_grid_angles_is_found():
         assert abs(derivative_via_maximizers(T, S, theta) - ref) <= 1e-7
 
 
+def test_lockstep_hidden_block_searches_are_the_one_search_results(monkeypatch):
+    # the pair above: several grid angles of T's arc lie near the block at
+    # -0.3, and their hidden-block searches run in one lockstep. The points
+    # and blocks are those of running each search alone
+    T = np.zeros((3, 3), dtype=complex)
+    T[:2, :2] = 2.0 * J2
+    T[2, 2] = np.exp(0.3j)
+    T, S, _, _ = wderiv._unit_pair(T, oracle.generators(61).matrix(3))
+    joint = wderiv._ActiveSet(T, S)
+    real, sizes = numrange._lockstep, []
+
+    def alone(searches, evaluate):
+        if evaluate.__name__ == "_second":
+            sizes.append(len(searches))
+        return [real([search], evaluate)[0] for search in searches]
+
+    monkeypatch.setattr(numrange, "_lockstep", alone)
+    solo = wderiv._ActiveSet(T, S)
+    assert len(sizes) == 1 and sizes[0] >= 2
+    assert joint.pts.tobytes() == solo.pts.tobytes()
+    assert joint.blocks.keys() == solo.blocks.keys() and joint.blocks
+    for m, blocks in joint.blocks.items():
+        assert len(blocks) == len(solo.blocks[m])
+        for (phi, C, h), (phi2, C2, h2) in zip(blocks, solo.blocks[m]):
+            assert (phi, h, C.tobytes()) == (phi2, h2, C2.tobytes())
+
+
 def _limit_pairs():
     gen = oracle.generators(63)
     # square-zero pairs first: the 6th and 8th took 90 quotient limits
